@@ -25,7 +25,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/hpcautotune/hiperbot/internal/httpapi"
@@ -76,24 +75,15 @@ func IsNotFound(err error) bool {
 	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
 }
 
-// Client talks to one hiperbotd instance — or to one node of a
-// hiperbotd cluster: 307 redirects from a redirect-mode cluster are
-// followed (method and body re-sent, capped hops) and the learned
-// session→owner mapping is cached, so after the first hop every call
-// on a session goes straight to the node that owns it.
+// Client talks to one hiperbotd instance, or to any node of a
+// hiperbotd cluster: a node forwards requests for sessions it does not
+// own, so the client never sees the topology.
 type Client struct {
-	base         string
-	hc           *http.Client
-	maxRetries   int
-	backoff      time.Duration
-	maxBackoff   time.Duration
-	maxRedirects int
-
-	// owners caches the base URL each session redirected to, keyed by
-	// session id. Entries are dropped when the cached owner stops
-	// answering, falling back to the configured base.
-	ownerMu sync.RWMutex
-	owners  map[string]string
+	base       string
+	hc         *http.Client
+	maxRetries int
+	backoff    time.Duration
+	maxBackoff time.Duration
 }
 
 // Option customizes a Client.
@@ -112,11 +102,6 @@ func WithBackoff(initial, max time.Duration) Option {
 	return func(c *Client) { c.backoff, c.maxBackoff = initial, max }
 }
 
-// WithRedirects caps how many 307/308 hops one request may follow
-// (default 5; 0 disables redirect following, so a redirect-mode
-// cluster response surfaces as an *APIError).
-func WithRedirects(n int) Option { return func(c *Client) { c.maxRedirects = n } }
-
 // New builds a client for the daemon at baseURL (e.g.
 // "http://localhost:8080").
 func New(baseURL string, opts ...Option) (*Client, error) {
@@ -125,60 +110,16 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 		return nil, fmt.Errorf("client: invalid base URL %q", baseURL)
 	}
 	c := &Client{
-		base: strings.TrimRight(baseURL, "/"),
-		// Redirects are handled by the client itself (do's hop loop), not
-		// by net/http: handling them here is what lets the owner of each
-		// session be cached so later calls skip the extra hop. A client
-		// substituted via WithHTTPClient keeps its own redirect policy.
-		hc: &http.Client{
-			Timeout:       30 * time.Second,
-			CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-		},
-		maxRetries:   4,
-		backoff:      100 * time.Millisecond,
-		maxBackoff:   3 * time.Second,
-		maxRedirects: 5,
-		owners:       make(map[string]string),
+		base:       strings.TrimRight(baseURL, "/"),
+		hc:         &http.Client{Timeout: 30 * time.Second},
+		maxRetries: 4,
+		backoff:    100 * time.Millisecond,
+		maxBackoff: 3 * time.Second,
 	}
 	for _, o := range opts {
 		o(c)
 	}
 	return c, nil
-}
-
-// ownerFor returns the cached owner base URL for a session id ("" if
-// none).
-func (c *Client) ownerFor(id string) string {
-	c.ownerMu.RLock()
-	defer c.ownerMu.RUnlock()
-	return c.owners[id]
-}
-
-func (c *Client) setOwner(id, base string) {
-	c.ownerMu.Lock()
-	defer c.ownerMu.Unlock()
-	c.owners[id] = base
-}
-
-func (c *Client) dropOwner(id string) {
-	c.ownerMu.Lock()
-	defer c.ownerMu.Unlock()
-	delete(c.owners, id)
-}
-
-// sessionIDFromPath extracts the session id from a request path of
-// the form /v1/sessions/{id}[/verb] ("" otherwise). The id is kept
-// URL-escaped — it only keys the owner cache.
-func sessionIDFromPath(path string) string {
-	const prefix = "/v1/sessions/"
-	if !strings.HasPrefix(path, prefix) {
-		return ""
-	}
-	id := path[len(prefix):]
-	if i := strings.IndexByte(id, '/'); i >= 0 {
-		id = id[:i]
-	}
-	return id
 }
 
 // CreateSession creates a session from already-serialized Space JSON.
@@ -362,18 +303,7 @@ func (c *Client) TuneMetrics(ctx context.Context, id string, obj MetricObjective
 // honored, so a misconfigured daemon cannot park a worker for an hour.
 const maxRetryAfter = time.Minute
 
-// redirectError is once's internal signal that the daemon answered
-// 307/308 with a Location — a redirect-mode cluster saying "this
-// session lives over there". Handled inside do; never escapes to
-// callers.
-type redirectError struct{ target string }
-
-func (e *redirectError) Error() string { return "client: redirected to " + e.target }
-
-// do runs one JSON round-trip with retry on transient failures,
-// following cluster redirects (method and body re-sent, hops capped
-// by WithRedirects) and caching the learned session owner so later
-// calls go direct.
+// do runs one JSON round-trip with retry on transient failures.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -383,49 +313,14 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			return fmt.Errorf("client: encoding request: %w", err)
 		}
 	}
-	id := sessionIDFromPath(path)
-	base := c.base
-	if id != "" {
-		if o := c.ownerFor(id); o != "" {
-			base = o
-		}
-	}
-	var lastErr error
 	delay := c.backoff
-	hops := 0
 	for attempt := 0; ; attempt++ {
-		err := c.once(ctx, method, base+path, body, out)
+		err := c.once(ctx, method, c.base+path, body, out)
 		if err == nil {
 			return nil
 		}
-		var rd *redirectError
-		if errors.As(err, &rd) {
-			if c.maxRedirects <= 0 {
-				return &APIError{Status: http.StatusTemporaryRedirect, Message: rd.Error()}
-			}
-			hops++
-			if hops > c.maxRedirects {
-				return fmt.Errorf("client: %s %s: more than %d redirects (last to %s)", method, path, c.maxRedirects, rd.target)
-			}
-			// Following a redirect is progress, not failure: it consumes a
-			// hop, never a retry, and waits for nothing.
-			base = baseOf(rd.target, path)
-			if id != "" {
-				c.setOwner(id, base)
-			}
-			attempt--
-			continue
-		}
-		lastErr = err
 		if attempt >= c.maxRetries || !transient(err) {
-			return lastErr
-		}
-		// A cached owner that stopped answering must not poison every
-		// retry: fall back to the configured base, which still owns the
-		// ring and can re-redirect to the session's new home.
-		if base != c.base && id != "" {
-			c.dropOwner(id)
-			base = c.base
+			return err
 		}
 		wait := delay
 		var ae *APIError
@@ -446,19 +341,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 }
 
-// baseOf strips path from the end of a redirect target, leaving the
-// owner's base URL (scheme://host[/prefix]). Falls back to
-// scheme://host when the target's path doesn't match ours.
-func baseOf(target, path string) string {
-	if b := strings.TrimSuffix(target, path); b != target {
-		return strings.TrimRight(b, "/")
-	}
-	if u, err := url.Parse(target); err == nil && u.Host != "" {
-		return u.Scheme + "://" + u.Host
-	}
-	return strings.TrimRight(target, "/")
-}
-
 // once performs a single HTTP exchange against an absolute URL.
 func (c *Client) once(ctx context.Context, method, url string, body []byte, out any) error {
 	var rd io.Reader
@@ -477,14 +359,6 @@ func (c *Client) once(ctx context.Context, method, url string, body []byte, out 
 		return fmt.Errorf("client: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTemporaryRedirect || resp.StatusCode == http.StatusPermanentRedirect {
-		if loc := resp.Header.Get("Location"); loc != "" {
-			io.Copy(io.Discard, resp.Body)
-			if u, perr := resp.Request.URL.Parse(loc); perr == nil {
-				return &redirectError{target: u.String()}
-			}
-		}
-	}
 	if resp.StatusCode >= 400 {
 		var apiErr httpapi.ErrorResponse
 		msg := http.StatusText(resp.StatusCode)

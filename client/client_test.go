@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hpcautotune/hiperbot"
+	"github.com/hpcautotune/hiperbot/internal/cluster"
 	"github.com/hpcautotune/hiperbot/internal/server"
 )
 
@@ -261,100 +263,6 @@ func TestClientRejectsBadBaseURL(t *testing.T) {
 	}
 }
 
-// A redirect-mode cluster answers 307 with the owner's URL. The
-// client must re-send the method AND body to the owner, cache the
-// owner per session, and go direct on subsequent calls.
-func TestClientFollowsRedirectsAndCachesOwner(t *testing.T) {
-	owner, _ := newDaemon(t)
-	var redirects atomic.Int64
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		redirects.Add(1)
-		w.Header().Set("Location", owner.URL+r.URL.RequestURI())
-		w.WriteHeader(http.StatusTemporaryRedirect)
-	}))
-	defer front.Close()
-
-	cl, err := New(front.URL, WithRetries(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	// Create goes through the front (307) and must land on the owner
-	// with its body intact.
-	id, err := cl.CreateSessionFromSpace(ctx, "redir", testSpace(), SessionOptions{Seed: 1, InitialSamples: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sug, err := cl.Suggest(ctx, id, 2, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sug.Candidates) != 2 {
-		t.Fatalf("got %d candidates, want 2", len(sug.Candidates))
-	}
-	results := make([]Result, len(sug.Candidates))
-	for i, cfg := range sug.Candidates {
-		results[i] = Result{Config: cfg, Value: float64(i)}
-	}
-	obs, err := cl.Observe(ctx, id, results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obs.Added != 2 {
-		t.Fatalf("observe added %d, want 2 (redirect must re-send the body)", obs.Added)
-	}
-	// Session-scoped calls after the first redirect go straight to the
-	// owner: create redirected once, the first suggest redirected once,
-	// then the owner cache short-circuits observe and any later call.
-	afterSuggest := redirects.Load()
-	if _, err := cl.Status(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-	if got := redirects.Load(); got != afterSuggest {
-		t.Fatalf("status hit the front %d more time(s); owner cache should have gone direct", got-afterSuggest)
-	}
-	if afterSuggest != 2 {
-		t.Fatalf("front saw %d redirects before the cache warmed, want 2 (create + first suggest)", afterSuggest)
-	}
-}
-
-// A redirect loop must fail with a hop-cap error, not hang.
-func TestClientRedirectHopCap(t *testing.T) {
-	var ts *httptest.Server
-	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Location", ts.URL+r.URL.RequestURI())
-		w.WriteHeader(http.StatusTemporaryRedirect)
-	}))
-	defer ts.Close()
-	cl, err := New(ts.URL, WithRetries(0), WithRedirects(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = cl.Status(context.Background(), "loop")
-	if err == nil || !strings.Contains(err.Error(), "redirects") {
-		t.Fatalf("err = %v, want redirect hop-cap error", err)
-	}
-}
-
-// WithRedirects(0) surfaces the 307 as an APIError instead of
-// following it.
-func TestClientRedirectsDisabled(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Location", "http://example.invalid/")
-		w.WriteHeader(http.StatusTemporaryRedirect)
-	}))
-	defer ts.Close()
-	cl, err := New(ts.URL, WithRetries(0), WithRedirects(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = cl.Status(context.Background(), "x")
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.Status != http.StatusTemporaryRedirect {
-		t.Fatalf("err = %v, want APIError 307", err)
-	}
-}
-
 // 429/503 with Retry-After must wait the server-directed delay, not
 // the client's own (here: near-zero) backoff schedule.
 func TestClientHonorsRetryAfter(t *testing.T) {
@@ -430,16 +338,89 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-func TestSessionIDFromPath(t *testing.T) {
-	cases := map[string]string{
-		"/v1/sessions/abc/suggest": "abc",
-		"/v1/sessions/abc":         "abc",
-		"/v1/sessions":             "",
-		"/healthz":                 "",
-	}
-	for path, want := range cases {
-		if got := sessionIDFromPath(path); got != want {
-			t.Fatalf("sessionIDFromPath(%q) = %q, want %q", path, got, want)
+// A client pointed at any node of a cluster reaches every session
+// unchanged: the node forwards requests for sessions it does not own.
+// Tuning through a non-owner must select exactly what a single-node
+// daemon selects for the same session name and seed.
+func TestClientTuneThroughNonOwnerMatchesSingleNode(t *testing.T) {
+	const (
+		name   = "routed"
+		budget = 14
+	)
+	opts := SessionOptions{Seed: 3, InitialSamples: 4}
+	sp := testSpace()
+	tune := func(base string) ([]string, *SessionInfo) {
+		t.Helper()
+		cl, err := New(base)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ctx := context.Background()
+		id, err := cl.CreateSessionFromSpace(ctx, name, sp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq []string
+		info, err := cl.Tune(ctx, id, func(cfg map[string]string) (float64, error) {
+			c, err := sp.FromLabels(cfg)
+			if err != nil {
+				return 0, err
+			}
+			seq = append(seq, sp.Describe(c))
+			return (c[0]-2)*(c[0]-2) + (c[1]-1)*(c[1]-1), nil
+		}, budget, 1, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq, info
+	}
+
+	urls := make([]string, 3)
+	srvs := make([]*server.Server, 3)
+	for i := range urls {
+		store, err := server.OpenStore("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i] = server.New(store, nil)
+		ts := httptest.NewServer(srvs[i])
+		t.Cleanup(func() { ts.Close(); store.Close() })
+		urls[i] = ts.URL
+	}
+	for i, srv := range srvs {
+		if err := srv.EnableCluster(server.ClusterConfig{Self: urls[i], Peers: urls}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ring, err := cluster.New(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := 0
+	for entry < len(urls) && ring.Owner(name) == urls[entry] {
+		entry++
+	}
+
+	got, gotInfo := tune(urls[entry])
+	single, _ := newDaemon(t)
+	want, wantInfo := tune(single.URL)
+
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("suggestions through a non-owner differ from a single node\ncluster: %v\nsingle:  %v", got, want)
+	}
+	if gotInfo.Evaluations != budget || gotInfo.Best == nil || wantInfo.Best == nil ||
+		gotInfo.Best.Value != wantInfo.Best.Value || !reflect.DeepEqual(gotInfo.Best.Config, wantInfo.Best.Config) {
+		t.Fatalf("cluster best %+v (%d evals) != single-node best %+v", gotInfo.Best, gotInfo.Evaluations, wantInfo.Best)
+	}
+	cl, err := New(urls[entry])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := cl.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cluster == nil || m.Cluster.ForwardedRequests == 0 {
+		t.Fatalf("entry node forwarded nothing: %+v", m.Cluster)
 	}
 }

@@ -110,18 +110,25 @@ func main() {
 	)
 	flag.Parse()
 
+	// One set of options from the flags; each path below adds only its
+	// own candidates, objective vector, step hook, or default engine.
+	opts := core.Options{
+		InitialSamples:   *initial,
+		Engine:           *strategy,
+		Surrogate:        core.SurrogateConfig{Quantile: *quantile},
+		Seed:             *seed,
+		PoolCap:          *poolCap,
+		CandidateSamples: *candSamp,
+		Groups:           core.ParseGroups(*groupsSpec),
+	}
+
 	if app, ok := analyticApps()[*appName]; ok {
-		tuneAnalytic(app, analyticOptions{
-			budget: *budget, initial: *initial, quantile: *quantile,
-			strategy: *strategy, poolCap: *poolCap, candidateSamples: *candSamp,
-			groups: core.ParseGroups(*groupsSpec),
-			seed:   *seed, importance: *importance, trace: *trace,
-		})
+		tuneAnalytic(app, opts, *budget, *importance, *trace)
 		return
 	}
 
 	if *objectives != "" {
-		tuneMulti(*appName, *objectives, *budget, *initial, *strategy, *seed, *trace)
+		tuneMulti(*appName, *objectives, opts, *budget, *trace)
 		return
 	}
 
@@ -162,15 +169,9 @@ func main() {
 			}
 		}
 	}
-	tn, err := core.NewTuner(tbl.Space, tbl.Objective(), core.Options{
-		InitialSamples: *initial,
-		Engine:         *strategy,
-		Surrogate:      core.SurrogateConfig{Quantile: *quantile},
-		Seed:           *seed,
-		Candidates:     candidates,
-		PoolCap:        *poolCap,
-		OnStep:         onStep,
-	})
+	opts.Candidates = candidates
+	opts.OnStep = onStep
+	tn, err := core.NewTuner(tbl.Space, tbl.Objective(), opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hiperbot:", err)
 		os.Exit(1)
@@ -309,7 +310,7 @@ func printImportance(sp *space.Space, imp []float64) {
 // tuneMulti runs multi-objective tuning on an app that exposes a
 // multi-metric observation, printing the Pareto front instead of a
 // single best configuration. The default engine is motpe.
-func tuneMulti(appName, specs string, budget, initial int, strategy string, seed uint64, trace bool) {
+func tuneMulti(appName, specs string, opts core.Options, budget int, trace bool) {
 	metrics := appMetrics(appName)
 	if metrics == nil {
 		fmt.Fprintf(os.Stderr, "hiperbot: -objectives needs a multi-metric app (service), got %q\n", appName)
@@ -345,19 +346,15 @@ func tuneMulti(appName, specs string, budget, initial int, strategy string, seed
 			fmt.Printf("%4d  %-70s %v\n", i+1, tbl.Space.Describe(o.Config), vector(o.Config))
 		}
 	}
-	if strategy == "" {
-		strategy = "motpe"
+	if opts.Engine == "" {
+		opts.Engine = "motpe"
 	}
+	opts.Candidates = candidates
+	opts.VectorObjective = vector
+	opts.OnStep = onStep
 	tn, err := core.NewTuner(tbl.Space, func(c space.Config) float64 {
 		return set.Scalarize(vector(c))
-	}, core.Options{
-		InitialSamples:  initial,
-		Engine:          strategy,
-		Seed:            seed,
-		Candidates:      candidates,
-		VectorObjective: vector,
-		OnStep:          onStep,
-	})
+	}, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hiperbot:", err)
 		os.Exit(1)
@@ -406,44 +403,23 @@ func analyticApps() map[string]analyticApp {
 	}
 }
 
-// analyticOptions carries the flag subset the analytic apps understand.
-type analyticOptions struct {
-	budget, initial           int
-	quantile                  float64
-	strategy                  string
-	poolCap, candidateSamples int
-	groups                    [][]string
-	seed                      uint64
-	importance, trace         bool
-}
-
 // tuneAnalytic drives a large-space app directly against its analytic
 // objective: the grid is never materialized, so memory stays bounded
 // by the pool cap (or by CandidateSamples for the pool-free sampling
 // engine, or by the per-group enumerations of the grouped engine).
-func tuneAnalytic(app analyticApp, o analyticOptions) {
+func tuneAnalytic(app analyticApp, opts core.Options, budget int, importance, trace bool) {
 	sp := app.sp
-	var onStep func(int, core.Observation)
-	if o.trace {
-		onStep = func(i int, obs core.Observation) {
+	if trace {
+		opts.OnStep = func(i int, obs core.Observation) {
 			fmt.Printf("%4d  %-90s %.6g\n", i+1, sp.Describe(obs.Config), obs.Value)
 		}
 	}
-	tn, err := core.NewTuner(sp, app.eval, core.Options{
-		InitialSamples:   o.initial,
-		Engine:           o.strategy,
-		Surrogate:        core.SurrogateConfig{Quantile: o.quantile},
-		Seed:             o.seed,
-		PoolCap:          o.poolCap,
-		CandidateSamples: o.candidateSamples,
-		Groups:           o.groups,
-		OnStep:           onStep,
-	})
+	tn, err := core.NewTuner(sp, app.eval, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hiperbot:", err)
 		os.Exit(1)
 	}
-	best, err := tn.Run(o.budget)
+	best, err := tn.Run(budget)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hiperbot:", err)
 		os.Exit(1)
@@ -465,7 +441,7 @@ func tuneAnalytic(app analyticApp, o analyticOptions) {
 		}
 	}
 	fmt.Printf("best found:  %.6g\n  %s\n", best.Value, sp.Describe(best.Config))
-	if o.importance {
+	if importance {
 		imp, err := tn.Importance()
 		if err != nil || imp == nil {
 			fmt.Fprintln(os.Stderr, "hiperbot: the", tn.EngineName(), "engine produced no importance scores")

@@ -56,8 +56,6 @@ func main() {
 		maxLive    = flag.Int("max-live-sessions", 0, "keep at most this many sessions hydrated in memory, compacting the least-recently-used ones to their snapshots and rehydrating on demand (0 = unlimited)")
 		peers      = flag.String("peers", "", "comma-separated base URLs of every cluster node (self included or not, both work); empty = single-node mode")
 		self       = flag.String("self", "", "this node's advertised base URL, required with -peers (e.g. http://10.0.0.1:8080)")
-		clusterMd  = flag.String("cluster-mode", "proxy", "how to serve sessions another node owns: proxy (forward transparently) or redirect (307 to the owner)")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per cluster member on the consistent-hash ring (0 = default 128; must match across the cluster)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this localhost address (e.g. \"localhost:6060\" or just \"6060\"); empty = disabled. Kept off the service port so profiling is never exposed to workers")
 	)
 	flag.Parse()
@@ -103,25 +101,16 @@ func main() {
 		if *self == "" {
 			logger.Fatalf("hiperbotd: -peers requires -self (this node's advertised URL)")
 		}
-		mode, err := server.ParseClusterMode(*clusterMd)
-		if err != nil {
-			logger.Fatalf("hiperbotd: %v", err)
-		}
 		var peerList []string
 		for _, p := range strings.Split(*peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				peerList = append(peerList, p)
 			}
 		}
-		if err := srv.EnableCluster(server.ClusterConfig{
-			Self:         *self,
-			Peers:        peerList,
-			Mode:         mode,
-			VirtualNodes: *vnodes,
-		}); err != nil {
+		if err := srv.EnableCluster(server.ClusterConfig{Self: *self, Peers: peerList}); err != nil {
 			logger.Fatalf("hiperbotd: %v", err)
 		}
-		logger.Printf("hiperbotd: cluster mode %s, self %s, peers %s", mode, *self, strings.Join(peerList, ", "))
+		logger.Printf("hiperbotd: cluster self %s, peers %s", *self, strings.Join(peerList, ", "))
 	} else if *self != "" {
 		logger.Fatalf("hiperbotd: -self is only meaningful with -peers")
 	}

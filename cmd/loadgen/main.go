@@ -73,7 +73,7 @@ func main() {
 		maxHeapMB  = flag.Int("max-heap-mb", 0, "fail when the post-run heap (after GC) exceeds this many MB (0 = report only)")
 
 		peers  = flag.String("peers", "", "comma-separated base URLs of a hiperbotd cluster; session creates and worker traffic round-robin over all nodes (mutually exclusive with -server)")
-		minFwd = flag.Int64("min-forwarded", 0, "with -peers: fail unless the cluster forwarded+redirected at least this many requests in total (0 = report only)")
+		minFwd = flag.Int64("min-forwarded", 0, "with -peers: fail unless the cluster forwarded at least this many requests in total (0 = report only)")
 	)
 	flag.Parse()
 	if *cpuprof != "" {
@@ -282,7 +282,7 @@ func main() {
 			wg.Add(1)
 			// Workers pick their node by worker index, not session index,
 			// so most calls land on a non-owner and exercise the cluster's
-			// forward/redirect path.
+			// forwarding path.
 			cl := cls[w%len(cls)]
 			go func() {
 				defer wg.Done()
@@ -352,10 +352,10 @@ func main() {
 		os.Exit(1)
 	}
 	if len(peerURLs) > 0 {
-		// Per-node accounting: session placement, diverted-request
-		// counters, heap — plus hard failures on journal errors and (with
+		// Per-node accounting: session placement, forwarding counters,
+		// heap — plus hard failures on journal errors and (with
 		// -min-forwarded) on a cluster that never actually forwarded.
-		var diverted int64
+		var forwarded int64
 		clusterBad := false
 		for i, c := range cls {
 			h, err := c.Health(ctx)
@@ -370,25 +370,25 @@ func main() {
 				clusterBad = true
 				continue
 			}
-			var fwd, rdr, hops int64
+			var fwd, hops int64
 			if m.Cluster != nil {
-				fwd, rdr, hops = m.Cluster.ForwardedRequests, m.Cluster.RedirectedRequests, m.Cluster.HopRejects
+				fwd, hops = m.Cluster.ForwardedRequests, m.Cluster.HopRejects
 			}
-			diverted += fwd + rdr
-			fmt.Printf("loadgen: node %s: %d sessions (%d live), forwarded %d, redirected %d, hop rejects %d, heap %.1f MB\n",
-				peerURLs[i], m.Sessions, m.LiveSessions, fwd, rdr, hops, m.HeapAllocMB)
+			forwarded += fwd
+			fmt.Printf("loadgen: node %s: %d sessions (%d live), forwarded %d, hop rejects %d, heap %.1f MB\n",
+				peerURLs[i], m.Sessions, m.LiveSessions, fwd, hops, m.HeapAllocMB)
 			if len(h.JournalErrors) > 0 {
 				fmt.Fprintf(os.Stderr, "loadgen: node %s: %d journal error(s); first: %s\n",
 					peerURLs[i], len(h.JournalErrors), h.JournalErrors[0])
 				clusterBad = true
 			}
 		}
-		fmt.Printf("loadgen: cluster diverted %d request(s) total (forwarded + redirected)\n", diverted)
+		fmt.Printf("loadgen: cluster forwarded %d request(s) total\n", forwarded)
 		if clusterBad {
 			os.Exit(1)
 		}
-		if *minFwd > 0 && diverted < *minFwd {
-			fmt.Fprintf(os.Stderr, "loadgen: %d diverted request(s) below -min-forwarded %d\n", diverted, *minFwd)
+		if *minFwd > 0 && forwarded < *minFwd {
+			fmt.Fprintf(os.Stderr, "loadgen: %d forwarded request(s) below -min-forwarded %d\n", forwarded, *minFwd)
 			os.Exit(1)
 		}
 	}

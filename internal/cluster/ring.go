@@ -11,7 +11,7 @@
 //
 // The hash function is part of the on-disk contract: journals and
 // snapshots live on the node that owns their session, so changing the
-// hash (or the virtual-node count) remaps sessions away from their
+// hash (or the per-node point count) remaps sessions away from their
 // data. Both are fixed here and must stay fixed across versions of a
 // running cluster.
 package cluster
@@ -24,11 +24,12 @@ import (
 	"strings"
 )
 
-// DefaultVirtualNodes is the per-node point count used when a Ring is
-// built with vnodes <= 0. 128 keeps the ownership imbalance of a
-// small cluster within a few percent while the ring stays small
-// enough that building it is microseconds.
-const DefaultVirtualNodes = 128
+// pointsPerNode is how many virtual points each node projects onto
+// the circle. 128 keeps the ownership imbalance of a small cluster
+// within a few percent while the ring stays small enough that building
+// it is microseconds. It is fixed, like the hash: every node must use
+// the same count, and changing it moves sessions away from their data.
+const pointsPerNode = 128
 
 // Ring is an immutable consistent-hash ring over a set of node URLs.
 // Safe for concurrent use.
@@ -43,13 +44,9 @@ type point struct {
 }
 
 // New builds a ring from node base URLs (any mix of self and peers;
-// duplicates after normalization collapse). vnodes <= 0 picks
-// DefaultVirtualNodes. The node list order does not matter: every
-// permutation yields an identical ring.
-func New(nodes []string, vnodes int) (*Ring, error) {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// duplicates after normalization collapse). The node list order does
+// not matter: every permutation yields an identical ring.
+func New(nodes []string) (*Ring, error) {
 	seen := make(map[string]bool, len(nodes))
 	norm := make([]string, 0, len(nodes))
 	for _, n := range nodes {
@@ -66,9 +63,9 @@ func New(nodes []string, vnodes int) (*Ring, error) {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
 	}
 	sort.Strings(norm)
-	r := &Ring{nodes: norm, points: make([]point, 0, len(norm)*vnodes)}
+	r := &Ring{nodes: norm, points: make([]point, 0, len(norm)*pointsPerNode)}
 	for i, n := range norm {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < pointsPerNode; v++ {
 			r.points = append(r.points, point{h: hash(n + "#" + strconv.Itoa(v)), node: int32(i)})
 		}
 	}

@@ -28,7 +28,7 @@ func nodeSet(n int) []string {
 // cluster would disagree about who owns what.
 func TestRingIdenticalAcrossPermutations(t *testing.T) {
 	nodes := nodeSet(5)
-	base, err := New(nodes, 0)
+	base, err := New(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRingIdenticalAcrossPermutations(t *testing.T) {
 		for i, j := range rng.Perm(len(nodes)) {
 			perm[i] = nodes[j]
 		}
-		r, err := New(perm, 0)
+		r, err := New(perm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,11 +55,11 @@ func TestRingIdenticalAcrossPermutations(t *testing.T) {
 // must not change the ring either: operators will not spell URLs
 // byte-identically on every node.
 func TestRingIdenticalAcrossSpellings(t *testing.T) {
-	a, err := New([]string{"http://node0:8080", "http://node1:8080"}, 64)
+	a, err := New([]string{"http://node0:8080", "http://node1:8080"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New([]string{"NODE0:8080", "HTTP://node1:8080/"}, 64)
+	b, err := New([]string{"NODE0:8080", "HTTP://node1:8080/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +76,12 @@ func TestRingIdenticalAcrossSpellings(t *testing.T) {
 func TestRingAddNodeRemapsOneNth(t *testing.T) {
 	const n = 3
 	ks := keys(10000)
-	small, err := New(nodeSet(n), 0)
+	small, err := New(nodeSet(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	grown := append(nodeSet(n), "http://node-new:8080")
-	big, err := New(grown, 0)
+	big, err := New(grown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +110,12 @@ func TestRingAddNodeRemapsOneNth(t *testing.T) {
 func TestRingRemoveNodeRemapsOneNth(t *testing.T) {
 	const n = 4
 	ks := keys(10000)
-	full, err := New(nodeSet(n), 0)
+	full, err := New(nodeSet(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	removed, _ := Normalize(nodeSet(n)[n-1])
-	shrunk, err := New(nodeSet(n)[:n-1], 0)
+	shrunk, err := New(nodeSet(n)[:n-1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +137,10 @@ func TestRingRemoveNodeRemapsOneNth(t *testing.T) {
 	}
 }
 
-// With DefaultVirtualNodes points per node, a 3-node ring should split
+// With pointsPerNode points per node, a 3-node ring should split
 // 10k keys roughly evenly — no node starved or doubly loaded.
 func TestRingBalance(t *testing.T) {
-	r, err := New(nodeSet(3), 0)
+	r, err := New(nodeSet(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +157,24 @@ func TestRingBalance(t *testing.T) {
 	}
 	if len(counts) != 3 {
 		t.Fatalf("only %d of 3 nodes own keys", len(counts))
+	}
+}
+
+// Ring placement is part of the on-disk contract: journals live on
+// the node that owned their session when it was created. These owners
+// were recorded with the hash and point count in use since the ring
+// was introduced; any change to either strands existing data dirs.
+func TestRingPlacementIsFrozen(t *testing.T) {
+	r, err := New(nodeSet(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{2, 1, 0, 2, 1, 2, 1, 1, 2, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 1, 0, 2, 1, 1}
+	for k, w := range want {
+		key := fmt.Sprintf("sess-%04d", k)
+		if got, exp := r.Owner(key), nodeSet(3)[w]; got != exp {
+			t.Fatalf("Owner(%q) = %q, want %q", key, got, exp)
+		}
 	}
 }
 
@@ -185,13 +203,13 @@ func TestNormalize(t *testing.T) {
 }
 
 func TestRingRejectsEmpty(t *testing.T) {
-	if _, err := New(nil, 0); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("New(nil) succeeded; want error")
 	}
 }
 
 func TestRingSingleNodeOwnsEverything(t *testing.T) {
-	r, err := New([]string{"http://solo:1"}, 0)
+	r, err := New([]string{"http://solo:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +221,7 @@ func TestRingSingleNodeOwnsEverything(t *testing.T) {
 }
 
 func BenchmarkRingOwner(b *testing.B) {
-	r, err := New(nodeSet(8), 0)
+	r, err := New(nodeSet(8))
 	if err != nil {
 		b.Fatal(err)
 	}

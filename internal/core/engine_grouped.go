@@ -634,51 +634,8 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		}
 		kept = append(kept, c)
 	}
-	if len(kept) == 0 {
-		// Every composition is evaluated, leased, or invalid — explore
-		// uniformly, as the sampling engine does when pg collapses.
-		for try := 0; try < 100000; try++ {
-			c := a.Space.Sample(a.RNG)
-			if !a.History.Contains(c) && !a.skips(c) {
-				return []space.Config{c}, nil
-			}
-		}
-		return nil, fmt.Errorf("core: grouped acquisition exhausted the space")
-	}
-
 	// Cross-group polish: rank the composed candidates with the
 	// full-joint score, so inter-group tradeoffs the per-group argmaxes
 	// cannot see settle the final picks.
-	batch, err := space.NewBatch(a.Space, kept)
-	if err != nil {
-		return nil, err
-	}
-	scores := ScoreAll(a.Model, batch, a.Parallelism)
-	if k == 1 {
-		best := 0
-		for i := 1; i < len(kept); i++ {
-			if scores[i] > scores[best] {
-				best = i
-			}
-		}
-		return []space.Config{kept[best]}, nil
-	}
-	order := make([]int, len(kept))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		if scores[order[x]] != scores[order[y]] {
-			return scores[order[x]] > scores[order[y]]
-		}
-		return order[x] < order[y]
-	})
-	if len(order) > k {
-		order = order[:k]
-	}
-	out := make([]space.Config, len(order))
-	for i, idx := range order {
-		out[i] = kept[idx]
-	}
-	return out, nil
+	return pickTop(a, kept, k, "grouped acquisition")
 }

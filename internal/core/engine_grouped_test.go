@@ -42,11 +42,23 @@ func pairGroups() [][]string {
 
 func runKeys(t *testing.T, sp *space.Space, obj func(space.Config) float64, opts Options, budget int) ([]string, []float64) {
 	t.Helper()
+	return runBatchKeys(t, sp, obj, opts, budget, 1)
+}
+
+// runBatchKeys is runKeys with k candidates per model update after the
+// initial samples (k = 1 runs the serial Step loop).
+func runBatchKeys(t *testing.T, sp *space.Space, obj func(space.Config) float64, opts Options, budget, k int) ([]string, []float64) {
+	t.Helper()
 	tn, err := NewTuner(sp, obj, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tn.Run(budget); err != nil {
+	if k > 1 {
+		_, err = tn.RunBatched(budget, k)
+	} else {
+		_, err = tn.Run(budget)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	keys := make([]string, 0, budget)
@@ -224,6 +236,30 @@ func TestGroupedGoldenSequence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("grouped selection sequence drifted\ngot:  %#v\nwant: %#v", keys, want)
+	}
+}
+
+// Frozen grouped selection sequence at k = 4: every batch runs the
+// shared score-and-pick tail's top-k path.
+func TestGroupedBatchGoldenSequence(t *testing.T) {
+	keys, _ := runBatchKeys(t, groupedTestSpace(), groupedTestObjective,
+		Options{Seed: 42, InitialSamples: 6, Engine: "grouped", Groups: pairGroups()}, 22, 4)
+	const print = false
+	if print {
+		t.Fatalf("golden literal:\n%#v", keys)
+	}
+	want := []string{
+		"0|1|2|3|3|3|2|3", "3|2|2|1|3|1|2|3", "2|3|2|2|0|0|1|2",
+		"1|1|1|3|2|0|1|2", "3|3|3|2|3|0|1|3", "2|2|3|3|3|0|2|2",
+		"1|1|1|1|2|1|1|2", "1|1|1|1|2|0|0|0", "1|1|1|1|2|0|0|1",
+		"1|1|1|1|2|0|3|0", "1|1|1|1|2|1|3|0", "2|1|0|1|1|2|3|0",
+		"1|1|1|0|2|1|3|2", "1|3|0|0|0|1|3|0", "1|0|1|1|2|1|3|2",
+		"1|1|1|0|2|1|1|2", "0|0|1|1|2|1|3|2", "1|0|1|1|2|1|1|2",
+		"1|1|1|1|2|1|3|2", "0|0|1|1|2|1|1|2", "3|0|1|1|2|1|1|2",
+		"1|1|0|0|2|1|1|2",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("grouped k=4 selection sequence drifted\ngot:  %#v\nwant: %#v", keys, want)
 	}
 }
 

@@ -384,15 +384,8 @@ func proposeOne(a *Acquisition) ([]space.Config, error) {
 		}
 	}
 	if best == nil {
-		// Every proposal was a duplicate (tiny discrete space); fall
-		// back to uniform exploration.
-		for try := 0; try < 100000; try++ {
-			c := a.Space.Sample(a.RNG)
-			if !a.History.Contains(c) && !a.skips(c) {
-				return []space.Config{c}, nil
-			}
-		}
-		return nil, fmt.Errorf("core: proposal strategy exhausted the space")
+		// Every proposal was a duplicate (tiny discrete space).
+		return exploreUniform(a, "proposal strategy")
 	}
 	return []space.Config{best}, nil
 }

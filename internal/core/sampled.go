@@ -205,23 +205,24 @@ func (samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		seen[key] = true
 		cands = append(cands, c)
 	}
+	return pickTop(a, cands, k, "sampling acquisition")
+}
+
+// pickTop is the score-and-pick tail the pool-free acquirers share:
+// it scores cands in one ScoreAll pass and keeps the best k by (score
+// desc, index asc). When no candidate is left — every one was
+// evaluated, leased, or invalid, so the good density has collapsed
+// onto known points — it explores uniformly instead; who names the
+// acquirer in the exhaustion error.
+func pickTop(a *Acquisition, cands []space.Config, k int, who string) ([]space.Config, error) {
 	if len(cands) == 0 {
-		// Every draw was a duplicate or already evaluated — the good
-		// density has collapsed onto known points. Explore uniformly.
-		for try := 0; try < 100000; try++ {
-			c := a.Space.Sample(a.RNG)
-			if !a.History.Contains(c) && !a.skips(c) {
-				return []space.Config{c}, nil
-			}
-		}
-		return nil, fmt.Errorf("core: sampling acquisition exhausted the space")
+		return exploreUniform(a, who)
 	}
 	batch, err := space.NewBatch(a.Space, cands)
 	if err != nil {
 		return nil, err
 	}
 	scores := ScoreAll(a.Model, batch, a.Parallelism)
-
 	if k == 1 {
 		best := 0
 		for i := 1; i < len(cands); i++ {
@@ -249,4 +250,16 @@ func (samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		out[i] = cands[idx]
 	}
 	return out, nil
+}
+
+// exploreUniform draws uniformly until it finds a configuration that
+// is neither evaluated nor leased.
+func exploreUniform(a *Acquisition, who string) ([]space.Config, error) {
+	for try := 0; try < 100000; try++ {
+		c := a.Space.Sample(a.RNG)
+		if !a.History.Contains(c) && !a.skips(c) {
+			return []space.Config{c}, nil
+		}
+	}
+	return nil, fmt.Errorf("core: %s exhausted the space", who)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -246,5 +247,73 @@ func BenchmarkSampledSelect(b *testing.B) {
 		if _, err := tn.Step(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Frozen sampling-engine selection sequences. The first runs at k = 1
+// on the 8×4-level pair space (argmax path); the second on a 27-point
+// grid with 2 draws per step to exhaustion, so most picks come from
+// the uniform-exploration fallback.
+func TestSamplingGoldenSequence(t *testing.T) {
+	keys, _ := runKeys(t, groupedTestSpace(), groupedTestObjective,
+		Options{Seed: 42, InitialSamples: 6, Engine: "sampling"}, 18)
+	tiny := space.New(
+		space.DiscreteInts("a", 0, 1, 2),
+		space.DiscreteInts("b", 0, 1, 2),
+		space.DiscreteInts("c", 0, 1, 2),
+	)
+	tinyKeys, _ := runKeys(t, tiny, largeTestObjective,
+		Options{Seed: 3, InitialSamples: 4, Engine: "sampling", CandidateSamples: 2}, 27)
+	const print = false
+	if print {
+		t.Fatalf("golden literals:\n%#v\n%#v", keys, tinyKeys)
+	}
+	want := []string{
+		"0|1|2|3|3|3|2|3", "3|2|2|1|3|1|2|3", "2|3|2|2|0|0|1|2",
+		"1|1|1|3|2|0|1|2", "3|3|3|2|3|0|1|3", "2|2|3|3|3|0|2|2",
+		"1|1|1|1|2|1|3|0", "3|2|1|1|1|1|3|0", "1|2|1|1|1|1|3|0",
+		"1|0|1|1|1|1|3|0", "3|0|1|1|1|1|3|0", "1|0|1|1|1|2|3|0",
+		"1|0|0|1|1|1|3|0", "1|0|1|0|1|1|3|0", "3|2|1|1|2|1|3|0",
+		"1|2|1|1|2|1|3|0", "3|2|1|1|2|1|3|1", "1|2|1|1|2|1|0|1",
+	}
+	wantTiny := []string{
+		"2|1|0", "1|1|1", "0|2|2",
+		"1|2|2", "2|1|1", "2|2|1",
+		"2|0|1", "1|0|1", "1|1|0",
+		"1|0|2", "1|1|2", "2|2|2",
+		"1|0|0", "2|1|2", "1|2|1",
+		"0|1|0", "0|1|1", "0|0|1",
+		"0|0|2", "2|0|2", "0|0|0",
+		"2|2|0", "0|1|2", "1|2|0",
+		"0|2|0", "0|2|1", "2|0|0",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("sampling k=1 selection sequence drifted\ngot:  %#v\nwant: %#v", keys, want)
+	}
+	if !reflect.DeepEqual(tinyKeys, wantTiny) {
+		t.Fatalf("sampling fallback sequence drifted\ngot:  %#v\nwant: %#v", tinyKeys, wantTiny)
+	}
+}
+
+// Frozen sampling-engine selection sequence at k = 4 (top-k path).
+func TestSamplingBatchGoldenSequence(t *testing.T) {
+	keys, _ := runBatchKeys(t, groupedTestSpace(), groupedTestObjective,
+		Options{Seed: 42, InitialSamples: 6, Engine: "sampling"}, 22, 4)
+	const print = false
+	if print {
+		t.Fatalf("golden literal:\n%#v", keys)
+	}
+	want := []string{
+		"0|1|2|3|3|3|2|3", "3|2|2|1|3|1|2|3", "2|3|2|2|0|0|1|2",
+		"1|1|1|3|2|0|1|2", "3|3|3|2|3|0|1|3", "2|2|3|3|3|0|2|2",
+		"1|1|1|1|2|1|3|0", "1|2|1|1|2|1|3|0", "1|1|1|1|2|1|1|1",
+		"1|2|1|1|2|1|0|2", "1|0|0|0|2|1|3|1", "1|1|0|0|2|1|3|1",
+		"1|1|0|1|2|2|3|1", "1|1|0|0|1|2|3|0", "1|0|1|1|2|1|3|0",
+		"0|1|1|1|2|1|3|0", "0|2|1|1|2|1|3|0", "1|2|1|1|2|1|1|0",
+		"1|0|1|1|2|1|1|0", "1|0|1|1|2|1|0|0", "1|0|1|1|0|1|1|0",
+		"1|0|1|1|1|1|1|0",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("sampling k=4 selection sequence drifted\ngot:  %#v\nwant: %#v", keys, want)
 	}
 }

@@ -301,9 +301,6 @@ type PeerStatus struct {
 type ClusterHealth struct {
 	// Self is this node's normalized base URL on the ring.
 	Self string `json:"self"`
-	// Mode is "proxy" or "redirect" — how requests for sessions owned
-	// by another node are served.
-	Mode string `json:"mode"`
 	// Nodes is the ring size (peers + self).
 	Nodes int `json:"nodes"`
 	// Peers lists the other nodes' reachability, sorted by URL.
@@ -313,7 +310,6 @@ type ClusterHealth struct {
 // ClusterMetrics is the cluster section of /metrics.
 type ClusterMetrics struct {
 	Self string `json:"self"`
-	Mode string `json:"mode"`
 	// Peers lists the other nodes' reachability (cached briefly, so
 	// scraping /metrics does not probe the cluster on every request).
 	Peers []PeerStatus `json:"peers"`
@@ -327,11 +323,8 @@ type ClusterMetrics struct {
 	// owner is not this node.
 	MisplacedSessions int `json:"misplaced_sessions"`
 	// ForwardedRequests counts session requests this node forwarded to
-	// their owner (proxy mode).
+	// their owner.
 	ForwardedRequests int64 `json:"forwarded_requests"`
-	// RedirectedRequests counts session requests this node answered
-	// with a 307 to the owner (redirect mode).
-	RedirectedRequests int64 `json:"redirected_requests"`
 	// ForwardErrors counts forwards that failed at the transport layer
 	// (owner unreachable): the request was answered 502.
 	ForwardErrors int64 `json:"forward_errors"`

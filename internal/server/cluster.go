@@ -1,14 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,33 +15,6 @@ import (
 	"github.com/hpcautotune/hiperbot/internal/httpapi"
 )
 
-// ClusterMode selects how a node serves requests for sessions it does
-// not own.
-type ClusterMode string
-
-const (
-	// ClusterProxy forwards the request to the owner over a pooled
-	// connection and relays the response — clients never see the
-	// topology, every node can serve every session.
-	ClusterProxy ClusterMode = "proxy"
-	// ClusterRedirect answers 307 with the owner's URL; a
-	// redirect-aware client (client package) follows once, caches the
-	// owner, and goes direct afterwards — the cheapest steady state.
-	ClusterRedirect ClusterMode = "redirect"
-)
-
-// ParseClusterMode validates a -cluster-mode flag value.
-func ParseClusterMode(s string) (ClusterMode, error) {
-	switch ClusterMode(strings.ToLower(strings.TrimSpace(s))) {
-	case ClusterProxy:
-		return ClusterProxy, nil
-	case ClusterRedirect:
-		return ClusterRedirect, nil
-	default:
-		return "", fmt.Errorf("server: unknown cluster mode %q (want %q or %q)", s, ClusterProxy, ClusterRedirect)
-	}
-}
-
 // forwardedHeader marks a request as already forwarded once; a node
 // receiving it for a session it does not own answers 508 instead of
 // forwarding again, so a ring disagreement degrades to an error, not
@@ -51,29 +22,23 @@ func ParseClusterMode(s string) (ClusterMode, error) {
 // diagnostics only).
 const forwardedHeader = "X-Hiperbot-Forwarded"
 
-// ownerHeader names the ring owner on 307 redirect responses, so even
-// non-HTTP-aware tooling can see where the session lives.
-const ownerHeader = "X-Hiperbot-Owner"
-
-// ClusterConfig wires a Server into a static multi-node cluster.
+// ClusterConfig wires a Server into a static multi-node cluster. A
+// request for a session another node owns is forwarded to that node.
 type ClusterConfig struct {
-	// Self is this node's advertised base URL — the URL peers and
-	// redirected clients reach it at. Required.
+	// Self is this node's advertised base URL — the URL peers reach it
+	// at. Required.
 	Self string
 	// Peers are the other nodes' base URLs. Self is tolerated (and
 	// removed) in the list, so every node can ship the identical list.
 	Peers []string
-	// Mode picks proxy (default) or redirect handling of sessions
-	// owned by another node.
-	Mode ClusterMode
-	// VirtualNodes is the per-node ring point count; 0 picks
-	// cluster.DefaultVirtualNodes. Must match across the cluster.
-	VirtualNodes int
-	// ProbeTimeout bounds each peer health probe (0 = 1s).
-	ProbeTimeout time.Duration
-	// ForwardTimeout bounds one forwarded request (0 = 30s).
-	ForwardTimeout time.Duration
 }
+
+const (
+	// maxProbeTime bounds each peer health probe.
+	maxProbeTime = time.Second
+	// maxForwardTime bounds one forwarded request.
+	maxForwardTime = 30 * time.Second
+)
 
 // clusterState is the per-node runtime: the ring, the pooled
 // forwarding client, request counters, and a briefly-cached view of
@@ -81,14 +46,10 @@ type ClusterConfig struct {
 type clusterState struct {
 	self  string // normalized
 	peers []string
-	mode  ClusterMode
 	ring  *cluster.Ring
 	hc    *http.Client
 
-	probeTimeout time.Duration
-
 	forwarded     atomic.Int64
-	redirected    atomic.Int64
 	forwardErrors atomic.Int64
 	hopRejects    atomic.Int64
 
@@ -107,20 +68,13 @@ const probeTTL = 2 * time.Second
 // EnableCluster joins this server to a static cluster. Call once,
 // before serving traffic. Session ids hash onto a consistent ring
 // over {Self} ∪ Peers; requests for sessions another node owns are
-// proxied or redirected there per cfg.Mode.
+// forwarded there.
 func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	self, err := cluster.Normalize(cfg.Self)
 	if err != nil {
 		return fmt.Errorf("server: cluster self: %w", err)
 	}
-	mode := cfg.Mode
-	if mode == "" {
-		mode = ClusterProxy
-	}
-	if _, err := ParseClusterMode(string(mode)); err != nil {
-		return err
-	}
-	ring, err := cluster.New(append([]string{cfg.Self}, cfg.Peers...), cfg.VirtualNodes)
+	ring, err := cluster.New(append([]string{cfg.Self}, cfg.Peers...))
 	if err != nil {
 		return err
 	}
@@ -133,22 +87,12 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 			peers = append(peers, n)
 		}
 	}
-	fwdTimeout := cfg.ForwardTimeout
-	if fwdTimeout <= 0 {
-		fwdTimeout = 30 * time.Second
-	}
-	probeTimeout := cfg.ProbeTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = time.Second
-	}
 	s.cluster = &clusterState{
-		self:         self,
-		peers:        peers,
-		mode:         mode,
-		ring:         ring,
-		probeTimeout: probeTimeout,
+		self:  self,
+		peers: peers,
+		ring:  ring,
 		hc: &http.Client{
-			Timeout: fwdTimeout,
+			Timeout: maxForwardTime,
 			Transport: &http.Transport{
 				MaxIdleConns:        256,
 				MaxIdleConnsPerHost: 64,
@@ -174,27 +118,12 @@ func (s *Server) Cluster() (self string, enabled bool) {
 // routeSession is the ownership gate in front of every session-scoped
 // handler. It returns handled=false when the session is owned locally
 // (the wrapped handler runs); otherwise it has already answered the
-// request — by forwarding, redirecting, or rejecting a forwarding
+// request — by forwarding it to the owner or rejecting a forwarding
 // loop — and returns the status it wrote.
 func (c *clusterState) routeSession(w http.ResponseWriter, r *http.Request, id string) (handled bool, status int, err error) {
 	owner := c.ring.Owner(id)
 	if owner == c.self {
 		return false, 0, nil
-	}
-	if via := r.Header.Get(forwardedHeader); via != "" {
-		// Already forwarded once and still not ours: the sender's ring
-		// disagrees with ours. Forwarding again could loop forever.
-		c.hopRejects.Add(1)
-		return true, http.StatusLoopDetected, fmt.Errorf(
-			"server: session %s hashes to %s, not this node (%s), but the request was already forwarded by %s — peer lists disagree",
-			id, owner, c.self, via)
-	}
-	if c.mode == ClusterRedirect {
-		c.redirected.Add(1)
-		w.Header().Set(ownerHeader, owner)
-		w.Header().Set("Location", owner+r.URL.RequestURI())
-		w.WriteHeader(http.StatusTemporaryRedirect)
-		return true, http.StatusTemporaryRedirect, nil
 	}
 	status, err = c.forward(w, r, owner, r.Body, r.ContentLength)
 	return true, status, err
@@ -202,8 +131,16 @@ func (c *clusterState) routeSession(w http.ResponseWriter, r *http.Request, id s
 
 // forward relays the request to the owner over the pooled client and
 // copies the response back verbatim. body is the (possibly already
-// buffered) request body to send.
+// buffered) request body to send. A request that was already
+// forwarded once is answered 508 instead: the sender's ring disagrees
+// with ours, and forwarding again could loop forever.
 func (c *clusterState) forward(w http.ResponseWriter, r *http.Request, owner string, body io.Reader, contentLength int64) (int, error) {
+	if via := r.Header.Get(forwardedHeader); via != "" {
+		c.hopRejects.Add(1)
+		return http.StatusLoopDetected, fmt.Errorf(
+			"server: %s %s belongs to %s, not this node (%s), but the request was already forwarded by %s — peer lists disagree",
+			r.Method, r.URL.Path, owner, c.self, via)
+	}
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, owner+r.URL.RequestURI(), body)
 	if err != nil {
 		c.forwardErrors.Add(1)
@@ -247,7 +184,7 @@ func (c *clusterState) selfOwnedID() (string, error) {
 // peerStatuses probes every peer's /healthz?scope=local, serving a
 // cached result within probeTTL so scrape storms don't multiply
 // probe traffic. Probes run concurrently, each bounded by
-// probeTimeout.
+// maxProbeTime.
 func (c *clusterState) peerStatuses(ctx context.Context) []httpapi.PeerStatus {
 	c.probeMu.Lock()
 	if c.probed != nil && time.Since(c.probedAt) < probeTTL {
@@ -279,7 +216,7 @@ func (c *clusterState) peerStatuses(ctx context.Context) []httpapi.PeerStatus {
 
 func (c *clusterState) probePeer(ctx context.Context, peer string) httpapi.PeerStatus {
 	st := httpapi.PeerStatus{URL: peer}
-	ctx, cancel := context.WithTimeout(ctx, c.probeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, maxProbeTime)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz?scope=local", nil)
 	if err != nil {
@@ -365,7 +302,6 @@ func (c *clusterState) fanOutSessions(ctx context.Context) (infos []httpapi.Sess
 func (c *clusterState) health(ctx context.Context) *httpapi.ClusterHealth {
 	return &httpapi.ClusterHealth{
 		Self:  c.self,
-		Mode:  string(c.mode),
 		Nodes: c.ring.Len(),
 		Peers: c.peerStatuses(ctx),
 	}
@@ -384,35 +320,12 @@ func (c *clusterState) metrics(ctx context.Context, infos []httpapi.SessionInfo)
 		}
 	}
 	return &httpapi.ClusterMetrics{
-		Self:               c.self,
-		Mode:               string(c.mode),
-		Peers:              c.peerStatuses(ctx),
-		OwnedSessions:      owned,
-		MisplacedSessions:  misplaced,
-		ForwardedRequests:  c.forwarded.Load(),
-		RedirectedRequests: c.redirected.Load(),
-		ForwardErrors:      c.forwardErrors.Load(),
-		HopRejects:         c.hopRejects.Load(),
+		Self:              c.self,
+		Peers:             c.peerStatuses(ctx),
+		OwnedSessions:     owned,
+		MisplacedSessions: misplaced,
+		ForwardedRequests: c.forwarded.Load(),
+		ForwardErrors:     c.forwardErrors.Load(),
+		HopRejects:        c.hopRejects.Load(),
 	}
-}
-
-// divertCreate routes a create request for a named session another
-// node owns: forwarded (proxy) or redirected (redirect). The body was
-// already consumed by decoding, so proxy mode re-sends the buffered
-// bytes.
-func (c *clusterState) divertCreate(w http.ResponseWriter, r *http.Request, owner string, body []byte) (int, error) {
-	if via := r.Header.Get(forwardedHeader); via != "" {
-		c.hopRejects.Add(1)
-		return http.StatusLoopDetected, fmt.Errorf(
-			"server: create hashes to %s, not this node (%s), but the request was already forwarded by %s — peer lists disagree",
-			owner, c.self, via)
-	}
-	if c.mode == ClusterRedirect {
-		c.redirected.Add(1)
-		w.Header().Set(ownerHeader, owner)
-		w.Header().Set("Location", owner+r.URL.RequestURI())
-		w.WriteHeader(http.StatusTemporaryRedirect)
-		return http.StatusTemporaryRedirect, nil
-	}
-	return c.forward(w, r, owner, bytes.NewReader(body), int64(len(body)))
 }

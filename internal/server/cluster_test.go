@@ -29,7 +29,7 @@ type clusterNode struct {
 // and joins them into one static cluster. Every node gets the full
 // (identical) URL list; EnableCluster strips self. dirs=true gives
 // each node its own journal directory.
-func newTestCluster(t *testing.T, n int, mode ClusterMode, cfg StoreConfig, dirs bool) []*clusterNode {
+func newTestCluster(t *testing.T, n int, cfg StoreConfig, dirs bool) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, n)
 	urls := make([]string, n)
@@ -50,22 +50,18 @@ func newTestCluster(t *testing.T, n int, mode ClusterMode, cfg StoreConfig, dirs
 		t.Cleanup(func() { store.Close() })
 	}
 	for _, node := range nodes {
-		if err := node.srv.EnableCluster(ClusterConfig{Self: node.url, Peers: urls, Mode: mode}); err != nil {
+		if err := node.srv.EnableCluster(ClusterConfig{Self: node.url, Peers: urls}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return nodes
 }
 
-// testHTTP never follows redirects, so tests see raw 307s.
-var testHTTP = &http.Client{
-	Timeout:       10 * time.Second,
-	CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-}
+var testHTTP = &http.Client{Timeout: 10 * time.Second}
 
-// httpJSON issues a real network request and decodes a 2xx reply.
-// Returns the status code and, for redirects, the Location header.
-func httpJSON(t *testing.T, method, url string, in, out any) (int, string) {
+// httpJSON issues a real network request, decodes a 2xx reply into
+// out, and returns the status code.
+func httpJSON(t *testing.T, method, url string, in, out any) int {
 	t.Helper()
 	var body io.Reader
 	if in != nil {
@@ -96,21 +92,7 @@ func httpJSON(t *testing.T, method, url string, in, out any) (int, string) {
 			t.Fatalf("%s %s: decoding %q: %v", method, url, data, err)
 		}
 	}
-	return resp.StatusCode, resp.Header.Get("Location")
-}
-
-// followJSON is httpJSON plus manual 307-following (one hop), the way
-// a redirect-aware client would behave.
-func followJSON(t *testing.T, method, url string, in, out any) int {
-	t.Helper()
-	code, loc := httpJSON(t, method, url, in, out)
-	if code == http.StatusTemporaryRedirect {
-		if loc == "" {
-			t.Fatalf("%s %s: 307 without Location", method, url)
-		}
-		code, _ = httpJSON(t, method, loc, in, out)
-	}
-	return code
+	return resp.StatusCode
 }
 
 // ownerIndex finds which node of the cluster owns id.
@@ -142,7 +124,7 @@ func nameOwnedBy(t *testing.T, nodes []*clusterNode, i int) string {
 func clusterCreate(t *testing.T, url, name string, opts httpapi.SessionOptions) (string, int) {
 	t.Helper()
 	var resp httpapi.CreateSessionResponse
-	code := followJSON(t, "POST", url+"/v1/sessions", httpapi.CreateSessionRequest{
+	code := httpJSON(t, "POST", url+"/v1/sessions", httpapi.CreateSessionRequest{
 		Name: name, Space: testSpaceJSON(t), Options: opts,
 	}, &resp)
 	return resp.ID, code
@@ -152,7 +134,7 @@ func clusterCreate(t *testing.T, url, name string, opts httpapi.SessionOptions) 
 // generate an id the receiving node owns, so anonymous sessions never
 // need a forward for their own creation.
 func TestClusterAnonymousCreateLandsLocally(t *testing.T) {
-	nodes := newTestCluster(t, 3, ClusterProxy, StoreConfig{}, false)
+	nodes := newTestCluster(t, 3, StoreConfig{}, false)
 	for i, node := range nodes {
 		id, code := clusterCreate(t, node.url, "", httpapi.SessionOptions{Seed: uint64(i + 1)})
 		if code != http.StatusCreated {
@@ -168,10 +150,10 @@ func TestClusterAnonymousCreateLandsLocally(t *testing.T) {
 }
 
 // TestClusterNamedCreateDiverted: a named create for a session another
-// node owns is forwarded there (proxy mode); the session materializes
-// on the owner only.
+// node owns is forwarded there; the session materializes on the owner
+// only.
 func TestClusterNamedCreateDiverted(t *testing.T) {
-	nodes := newTestCluster(t, 3, ClusterProxy, StoreConfig{}, false)
+	nodes := newTestCluster(t, 3, StoreConfig{}, false)
 	name := nameOwnedBy(t, nodes, 1)
 	id, code := clusterCreate(t, nodes[0].url, name, httpapi.SessionOptions{Seed: 7})
 	if code != http.StatusCreated {
@@ -199,7 +181,7 @@ func driveSession(t *testing.T, urls []string, id string, rounds int) []string {
 	for r := 0; r < rounds; r++ {
 		url := urls[r%len(urls)]
 		var sg httpapi.SuggestResponse
-		if code := followJSON(t, "POST", url+"/v1/sessions/"+id+"/suggest",
+		if code := httpJSON(t, "POST", url+"/v1/sessions/"+id+"/suggest",
 			httpapi.SuggestRequest{Count: 1}, &sg); code != http.StatusOK {
 			t.Fatalf("round %d suggest via %s: HTTP %d", r, url, code)
 		}
@@ -216,7 +198,7 @@ func driveSession(t *testing.T, urls []string, id string, rounds int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if code := followJSON(t, "POST", url+"/v1/sessions/"+id+"/observe", httpapi.ObserveRequest{
+		if code := httpJSON(t, "POST", url+"/v1/sessions/"+id+"/observe", httpapi.ObserveRequest{
 			Results: []httpapi.Result{{Config: labels, Value: testValue(cfg)}},
 		}, nil); code != http.StatusOK {
 			t.Fatalf("round %d observe via %s: HTTP %d", r, url, code)
@@ -226,9 +208,9 @@ func driveSession(t *testing.T, urls []string, id string, rounds int) []string {
 }
 
 // TestClusterSuggestBitIdentical is the golden routing test: the
-// suggestion sequence of a session reached alternately direct, via a
-// proxying non-owner, and via redirect must equal a standalone
-// (clusterless) control session with the same seed and observations.
+// suggestion sequence of a session reached alternately direct and via
+// forwarding non-owners must equal a standalone (clusterless) control
+// session with the same seed and observations.
 func TestClusterSuggestBitIdentical(t *testing.T) {
 	const rounds = 10
 	opts := httpapi.SessionOptions{Seed: 42, InitialSamples: 4}
@@ -245,38 +227,29 @@ func TestClusterSuggestBitIdentical(t *testing.T) {
 		return driveSession(t, []string{ts.URL}, id, rounds)
 	}
 
-	for _, mode := range []ClusterMode{ClusterProxy, ClusterRedirect} {
-		t.Run(string(mode), func(t *testing.T) {
-			nodes := newTestCluster(t, 3, mode, StoreConfig{}, false)
-			name := nameOwnedBy(t, nodes, 0)
-			id, code := clusterCreate(t, nodes[0].url, name, opts)
-			if code != http.StatusCreated {
-				t.Fatalf("create: HTTP %d", code)
+	t.Run("proxy", func(t *testing.T) {
+		nodes := newTestCluster(t, 3, StoreConfig{}, false)
+		name := nameOwnedBy(t, nodes, 0)
+		id, code := clusterCreate(t, nodes[0].url, name, opts)
+		if code != http.StatusCreated {
+			t.Fatalf("create: HTTP %d", code)
+		}
+		urls := []string{nodes[0].url, nodes[1].url, nodes[2].url}
+		got := driveSession(t, urls, id, rounds)
+		want := control(name)
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("round %d: cluster candidate %s != control %s", r, got[r], want[r])
 			}
-			urls := []string{nodes[0].url, nodes[1].url, nodes[2].url}
-			got := driveSession(t, urls, id, rounds)
-			want := control(name)
-			for r := range want {
-				if got[r] != want[r] {
-					t.Fatalf("round %d: cluster candidate %s != control %s", r, got[r], want[r])
-				}
-			}
-			var diverted int64
-			switch mode {
-			case ClusterProxy:
-				for _, n := range nodes[1:] {
-					diverted += n.srv.cluster.forwarded.Load()
-				}
-			case ClusterRedirect:
-				for _, n := range nodes[1:] {
-					diverted += n.srv.cluster.redirected.Load()
-				}
-			}
-			if diverted < 1 {
-				t.Fatalf("%s mode: no requests were diverted through non-owners", mode)
-			}
-		})
-	}
+		}
+		var forwarded int64
+		for _, n := range nodes[1:] {
+			forwarded += n.srv.cluster.forwarded.Load()
+		}
+		if forwarded < 1 {
+			t.Fatal("no requests were forwarded through non-owners")
+		}
+	})
 }
 
 // TestClusterHopGuard: when two nodes' peer lists disagree such that a
@@ -315,7 +288,7 @@ func TestClusterHopGuard(t *testing.T) {
 		t.Fatal("no disputed id found")
 	}
 
-	code, _ := httpJSON(t, "GET", tsA.URL+"/v1/sessions/"+id, nil, nil)
+	code := httpJSON(t, "GET", tsA.URL+"/v1/sessions/"+id, nil, nil)
 	if code != http.StatusLoopDetected {
 		t.Fatalf("disputed request: HTTP %d, want %d", code, http.StatusLoopDetected)
 	}
@@ -331,7 +304,7 @@ func TestClusterHopGuard(t *testing.T) {
 // sessions exactly once; scope=local stays node-local; a dead peer is
 // reported by URL rather than silently dropped.
 func TestClusterListFanOut(t *testing.T) {
-	nodes := newTestCluster(t, 3, ClusterProxy, StoreConfig{}, false)
+	nodes := newTestCluster(t, 3, StoreConfig{}, false)
 	ids := make([]string, len(nodes))
 	for i, node := range nodes {
 		id, code := clusterCreate(t, node.url, "", httpapi.SessionOptions{Seed: uint64(i + 1)})
@@ -342,7 +315,7 @@ func TestClusterListFanOut(t *testing.T) {
 	}
 
 	var merged httpapi.SessionListResponse
-	if code, _ := httpJSON(t, "GET", nodes[0].url+"/v1/sessions", nil, &merged); code != http.StatusOK {
+	if code := httpJSON(t, "GET", nodes[0].url+"/v1/sessions", nil, &merged); code != http.StatusOK {
 		t.Fatalf("merged list: HTTP %d", code)
 	}
 	if len(merged.Sessions) != 3 || len(merged.UnreachablePeers) != 0 {
@@ -360,7 +333,7 @@ func TestClusterListFanOut(t *testing.T) {
 	}
 
 	var local httpapi.SessionListResponse
-	if code, _ := httpJSON(t, "GET", nodes[0].url+"/v1/sessions?scope=local", nil, &local); code != http.StatusOK {
+	if code := httpJSON(t, "GET", nodes[0].url+"/v1/sessions?scope=local", nil, &local); code != http.StatusOK {
 		t.Fatalf("local list: HTTP %d", code)
 	}
 	if len(local.Sessions) != 1 || local.Sessions[0].ID != ids[0] {
@@ -368,7 +341,7 @@ func TestClusterListFanOut(t *testing.T) {
 	}
 
 	var health httpapi.HealthResponse
-	if code, _ := httpJSON(t, "GET", nodes[0].url+"/healthz", nil, &health); code != http.StatusOK {
+	if code := httpJSON(t, "GET", nodes[0].url+"/healthz", nil, &health); code != http.StatusOK {
 		t.Fatalf("healthz: HTTP %d", code)
 	}
 	if health.Cluster == nil || health.Cluster.Nodes != 3 || len(health.Cluster.Peers) != 2 {
@@ -382,7 +355,7 @@ func TestClusterListFanOut(t *testing.T) {
 
 	nodes[2].ts.Close()
 	var degraded httpapi.SessionListResponse
-	if code, _ := httpJSON(t, "GET", nodes[0].url+"/v1/sessions", nil, &degraded); code != http.StatusOK {
+	if code := httpJSON(t, "GET", nodes[0].url+"/v1/sessions", nil, &degraded); code != http.StatusOK {
 		t.Fatalf("degraded list: HTTP %d", code)
 	}
 	if len(degraded.Sessions) != 2 {
@@ -397,7 +370,7 @@ func TestClusterListFanOut(t *testing.T) {
 // every local session to its ring owner and reports zero misplaced
 // sessions under a stable ring.
 func TestClusterMetrics(t *testing.T) {
-	nodes := newTestCluster(t, 3, ClusterProxy, StoreConfig{}, false)
+	nodes := newTestCluster(t, 3, StoreConfig{}, false)
 	for i, node := range nodes {
 		if _, code := clusterCreate(t, node.url, "", httpapi.SessionOptions{Seed: uint64(i + 1)}); code != http.StatusCreated {
 			t.Fatalf("node %d create: HTTP %d", i, code)
@@ -405,7 +378,7 @@ func TestClusterMetrics(t *testing.T) {
 	}
 	for i, node := range nodes {
 		var m httpapi.MetricsResponse
-		if code, _ := httpJSON(t, "GET", node.url+"/metrics", nil, &m); code != http.StatusOK {
+		if code := httpJSON(t, "GET", node.url+"/metrics", nil, &m); code != http.StatusOK {
 			t.Fatalf("node %d metrics: HTTP %d", i, code)
 		}
 		c := m.Cluster
@@ -437,12 +410,12 @@ func TestClusterForwardRehydratesEvictedStub(t *testing.T) {
 		{Config: map[string]string{"x": "1", "y": "1"}, Value: 1},
 	}
 
-	nodes := newTestCluster(t, 2, ClusterProxy, cfg, true)
+	nodes := newTestCluster(t, 2, cfg, true)
 	victim := nameOwnedBy(t, nodes, 0)
 	if _, code := clusterCreate(t, nodes[0].url, victim, opts); code != http.StatusCreated {
 		t.Fatalf("create victim: HTTP %d", code)
 	}
-	if code := followJSON(t, "POST", nodes[0].url+"/v1/sessions/"+victim+"/observe",
+	if code := httpJSON(t, "POST", nodes[0].url+"/v1/sessions/"+victim+"/observe",
 		httpapi.ObserveRequest{Results: observations}, nil); code != http.StatusOK {
 		t.Fatalf("observe victim: HTTP %d", code)
 	}
@@ -504,7 +477,7 @@ func TestClusterForwardRehydratesEvictedStub(t *testing.T) {
 	}
 
 	var viaProxy httpapi.SuggestResponse
-	if code := followJSON(t, "POST", nodes[1].url+"/v1/sessions/"+victim+"/suggest",
+	if code := httpJSON(t, "POST", nodes[1].url+"/v1/sessions/"+victim+"/suggest",
 		httpapi.SuggestRequest{Count: 1}, &viaProxy); code != http.StatusOK {
 		t.Fatalf("suggest via proxy: HTTP %d", code)
 	}
@@ -517,12 +490,12 @@ func TestClusterForwardRehydratesEvictedStub(t *testing.T) {
 	if _, code := clusterCreate(t, ts.URL, victim, opts); code != http.StatusCreated {
 		t.Fatalf("control create: HTTP %d", code)
 	}
-	if code := followJSON(t, "POST", ts.URL+"/v1/sessions/"+victim+"/observe",
+	if code := httpJSON(t, "POST", ts.URL+"/v1/sessions/"+victim+"/observe",
 		httpapi.ObserveRequest{Results: observations}, nil); code != http.StatusOK {
 		t.Fatalf("control observe: HTTP %d", code)
 	}
 	var direct httpapi.SuggestResponse
-	if code := followJSON(t, "POST", ts.URL+"/v1/sessions/"+victim+"/suggest",
+	if code := httpJSON(t, "POST", ts.URL+"/v1/sessions/"+victim+"/suggest",
 		httpapi.SuggestRequest{Count: 1}, &direct); code != http.StatusOK {
 		t.Fatalf("control suggest: HTTP %d", code)
 	}
@@ -635,7 +608,7 @@ func TestClusterNodeRestartResumes(t *testing.T) {
 	var info httpapi.SessionInfo
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		code, _ := httpJSON(t, "GET", ts1.URL+"/v1/sessions/"+name, nil, &info)
+		code := httpJSON(t, "GET", ts1.URL+"/v1/sessions/"+name, nil, &info)
 		if code == http.StatusOK {
 			break
 		}
@@ -648,7 +621,7 @@ func TestClusterNodeRestartResumes(t *testing.T) {
 		t.Fatalf("evaluations after restart = %d, want 3", info.Evaluations)
 	}
 	var sg httpapi.SuggestResponse
-	if code := followJSON(t, "POST", ts1.URL+"/v1/sessions/"+name+"/suggest",
+	if code := httpJSON(t, "POST", ts1.URL+"/v1/sessions/"+name+"/suggest",
 		httpapi.SuggestRequest{Count: 1}, &sg); code != http.StatusOK {
 		t.Fatalf("suggest via peer after restart: HTTP %d", code)
 	}

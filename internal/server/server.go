@@ -19,8 +19,8 @@
 //
 // In cluster mode (EnableCluster) session ids are partitioned over a
 // consistent-hash ring spanning all nodes; every session-scoped route
-// first checks ownership and proxies or redirects requests for
-// sessions another node owns, GET /v1/sessions fans out across peers
+// first checks ownership and forwards requests for sessions another
+// node owns to that node, GET /v1/sessions fans out across peers
 // and merges, and /healthz and /metrics report per-peer reachability
 // and forwarding counters. ?scope=local on the list and health
 // endpoints restricts to this node (and is what nodes use on each
@@ -89,8 +89,8 @@ func New(store *Store, logger *log.Logger) *Server {
 }
 
 // owned gates a session-scoped handler on ring ownership: in cluster
-// mode, requests for sessions another node owns are proxied or
-// redirected there before the handler (or its body decoding) runs.
+// mode, requests for sessions another node owns are forwarded there
+// before the handler (or its body decoding) runs.
 // Single-node servers pay one nil check.
 func (s *Server) owned(h func(w http.ResponseWriter, r *http.Request) (int, error)) func(w http.ResponseWriter, r *http.Request) (int, error) {
 	return func(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -157,7 +157,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) (int, erro
 			}
 			req.Name = id
 		} else if owner := c.ring.Owner(req.Name); owner != c.self {
-			return c.divertCreate(w, r, owner, body)
+			// Decoding consumed the body; re-send the buffered bytes.
+			return c.forward(w, r, owner, bytes.NewReader(body), int64(len(body)))
 		}
 	}
 	sess, err := s.store.Create(req.Name, req.Space, req.Options)

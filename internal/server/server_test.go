@@ -402,6 +402,14 @@ func TestCreateRejectsBadInput(t *testing.T) {
 	}, nil); code != http.StatusBadRequest {
 		t.Fatalf("create with bad name: HTTP %d", code)
 	}
+	// Names the mux would path-clean away from every session route.
+	for _, name := range []string{".", ".."} {
+		if code := doJSON(t, srv, "POST", "/v1/sessions", httpapi.CreateSessionRequest{
+			Name: name, Space: testSpaceJSON(t),
+		}, nil); code != http.StatusBadRequest {
+			t.Fatalf("create with name %q: HTTP %d", name, code)
+		}
+	}
 	// Bad strategy.
 	if code := doJSON(t, srv, "POST", "/v1/sessions", httpapi.CreateSessionRequest{
 		Space: testSpaceJSON(t), Options: httpapi.SessionOptions{Strategy: "genetic"},

@@ -127,7 +127,14 @@ var ErrNotFound = fmt.Errorf("server: no such session")
 // ErrExists reports a session-id collision on create.
 var ErrExists = fmt.Errorf("server: session already exists")
 
-var validID = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
+var idPattern = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
+
+// validID reports whether name is an acceptable session name. "." and
+// ".." match idPattern but are path segments the mux cleans away, so
+// no session route could ever reach them.
+func validID(name string) bool {
+	return idPattern.MatchString(name) && name != "." && name != ".."
+}
 
 // OpenStore opens (creating if needed) a session store rooted at dir
 // and resumes every journaled session found there. dir == "" yields a
@@ -357,8 +364,8 @@ func (st *Store) CreateWithSpace(name string, sp *space.Space, spaceJSON json.Ra
 			return nil, err
 		}
 	}
-	if name != "" && !validID.MatchString(name) {
-		return nil, fmt.Errorf("server: invalid session name %q (want %s)", name, validID)
+	if name != "" && !validID(name) {
+		return nil, fmt.Errorf("server: invalid session name %q (want %s, not . or ..)", name, idPattern)
 	}
 	if opts.PoolCap == 0 {
 		// Resolve the store default now so the journal header records
@@ -790,29 +797,6 @@ func (st *Store) Stats() StoreStats {
 	}
 	out.Sessions += out.LiveSessions
 	return out
-}
-
-// Evaluations sums evaluation counts across sessions. It reads each
-// session's lock-free snapshot, so scraping /metrics never contends
-// with the ask/tell hot path.
-func (st *Store) Evaluations() int64 {
-	var n int64
-	for _, s := range st.all() {
-		n += int64(s.Snapshot().Evaluations)
-	}
-	return n
-}
-
-// LeaseStats sums live lease counts and duplicate-suggestion counters
-// across sessions. Like Evaluations it reads lock-free snapshots, so
-// scraping /metrics never contends with the ask/tell hot path.
-func (st *Store) LeaseStats() (pending int, duplicates int64) {
-	for _, s := range st.all() {
-		snap := s.Snapshot()
-		pending += snap.ActiveLeases
-		duplicates += snap.DuplicateSuggestions
-	}
-	return pending, duplicates
 }
 
 // JournalErrors reports sessions whose journal writes have failed, as

@@ -60,7 +60,7 @@ func TestStoreConcurrentLifecycle(t *testing.T) {
 					}
 				}
 				_ = store.Len()
-				_ = store.Evaluations()
+				_ = store.Stats()
 				_ = store.JournalErrors()
 			}
 		}()
@@ -120,7 +120,7 @@ func TestStoreConcurrentLifecycle(t *testing.T) {
 		t.Fatalf("store holds %d sessions, want %d", store.Len(), want)
 	}
 	wantEvals := int64(want * evalsPerSes)
-	if got := store.Evaluations(); got != wantEvals {
+	if got := store.Stats().Evaluations; got != wantEvals {
 		t.Fatalf("store reports %d evaluations, want %d", got, wantEvals)
 	}
 }
