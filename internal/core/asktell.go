@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -48,8 +49,9 @@ type Lease struct {
 type AskTell struct {
 	t      *Tuner
 	leases map[string]Lease
-	heap   leaseHeap // expiry-ordered; never holds forever-leases
-	ver    uint64    // monotonic heap-entry version counter
+	leased LeaseFilter // the live leases as acquisition tests them
+	heap   leaseHeap   // expiry-ordered; never holds forever-leases
+	ver    uint64      // monotonic heap-entry version counter
 
 	suggested map[string]bool // every key ever handed out by Ask
 	dups      int64           // re-suggestions of a previously handed-out key
@@ -58,11 +60,85 @@ type AskTell struct {
 // NewAskTell wraps t. The tuner must not be driven through Step/Run
 // concurrently with Ask/Tell.
 func NewAskTell(t *Tuner) *AskTell {
-	return &AskTell{
+	a := &AskTell{
 		t:         t,
 		leases:    make(map[string]Lease),
 		suggested: make(map[string]bool),
 	}
+	a.leased = LeaseFilter{sp: t.sp, leases: a.leases}
+	return a
+}
+
+// LeaseFilter is the set of live leases as acquisition tests it: a
+// bitset over the candidate indices of the tuner's pool, so loops over
+// the pool test an index instead of formatting a key per candidate,
+// plus the lease map itself for configurations drawn outside the pool.
+// A nil filter reports nothing leased.
+type LeaseFilter struct {
+	sp     *space.Space
+	leases map[string]Lease // live leases by Space.Key, shared with AskTell
+	pool   *Pool            // the pool bits indexes; nil for pool-free tuners
+	bits   []uint64         // leased candidate indices of pool
+}
+
+// Has reports whether configuration c is leased.
+func (f *LeaseFilter) Has(c space.Config) bool {
+	if f == nil {
+		return false
+	}
+	_, ok := f.leases[f.sp.Key(c)]
+	return ok
+}
+
+// HasIndex reports whether candidate i of the tuner's pool is leased.
+func (f *LeaseFilter) HasIndex(i int) bool {
+	return f != nil && f.bits[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// mark sets (on) or clears the bit of c when c is a candidate of the
+// pool the bitset indexes.
+func (f *LeaseFilter) mark(c space.Config, on bool) {
+	if f.pool == nil {
+		return
+	}
+	i := f.pool.IndexOf(c)
+	if i < 0 {
+		return
+	}
+	bit := uint64(1) << (uint(i) & 63)
+	if on {
+		f.bits[i>>6] |= bit
+	} else {
+		f.bits[i>>6] &^= bit
+	}
+}
+
+// bind points the bitset at pool, rebuilding it from the live leases
+// when pool is not the one it indexes (Tuner.RefreshPool swaps the
+// tuner's pool).
+func (f *LeaseFilter) bind(pool *Pool) {
+	if f.pool == pool {
+		return
+	}
+	f.pool, f.bits = pool, nil
+	if pool == nil {
+		return
+	}
+	f.bits = make([]uint64, (pool.Size()+63)/64)
+	for _, l := range f.leases {
+		f.mark(l.Config, true)
+	}
+}
+
+// filter returns the lease filter for the next acquisition, bound to
+// the tuner's current pool: nil while no lease is live, so the serial
+// path runs exactly as a tuner without leases.
+func (a *AskTell) filter() *LeaseFilter {
+	a.leased.bind(a.t.pool)
+	if len(a.leases) == 0 {
+		return nil
+	}
+	return &a.leased
 }
 
 // Tuner returns the wrapped tuner.
@@ -106,35 +182,48 @@ func (a *AskTell) expire(now time.Time) {
 			continue // released or renewed since this entry was pushed
 		}
 		delete(a.leases, top.key)
+		a.leased.mark(l.Config, false)
 		a.t.history.RemovePendingKey(top.key)
 	}
 }
 
-// lease records one handed-out candidate: lease-map entry, expiry-heap
-// entry (finite deadlines only), pending fantasy, and the duplicate
-// counter.
-func (a *AskTell) lease(c space.Config, deadline time.Time) {
+// lease records one candidate picked for the caller: lease-map entry,
+// expiry-heap entry (finite deadlines only), filter bit, and pending
+// fantasy. It returns the candidate's key.
+func (a *AskTell) lease(c space.Config, deadline time.Time) string {
 	key := a.t.sp.Key(c)
 	a.ver++
 	a.leases[key] = Lease{Config: c.Clone(), Expires: deadline, ver: a.ver}
 	if !deadline.IsZero() {
 		a.heap.push(leaseEntry{at: deadline, key: key, ver: a.ver})
 	}
+	a.leased.mark(c, true)
 	a.t.history.AddPending(c)
-	if a.suggested[key] {
-		a.dups++
-	} else {
-		a.suggested[key] = true
+	return key
+}
+
+// countSuggested records the keys of the picks a caller receives,
+// counting those handed out before as duplicate suggestions.
+func (a *AskTell) countSuggested(keys []string) {
+	for _, key := range keys {
+		if a.suggested[key] {
+			a.dups++
+		} else {
+			a.suggested[key] = true
+		}
 	}
 }
 
-// release drops a lease and its pending fantasy (no-op when the key is
-// not leased). The heap entry is left behind for lazy deletion.
+// release drops a lease, its filter bit and its pending fantasy (no-op
+// when the key is not leased). The heap entry is left behind for lazy
+// deletion.
 func (a *AskTell) release(key string) {
-	if _, ok := a.leases[key]; !ok {
+	l, ok := a.leases[key]
+	if !ok {
 		return
 	}
 	delete(a.leases, key)
+	a.leased.mark(l.Config, false)
 	a.t.history.RemovePendingKey(key)
 }
 
@@ -145,7 +234,9 @@ func (a *AskTell) release(key string) {
 // selection, so the model steers every subsequent pick — in this batch
 // and in concurrent Asks — away from in-flight work. ttl <= 0 leases
 // forever. A short (or empty) result means the unevaluated pool net of
-// live leases is smaller than k.
+// live leases is smaller than k, or, for engines without a pool, that
+// acquisition found no configuration outside the evaluated and leased
+// ones. On an error no candidate stays leased or counts as suggested.
 //
 // With no outstanding leases and k = 1 the selection is bit-identical
 // to SelectBatch(1): the fantasy is added only after the pick, and is
@@ -156,34 +247,35 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 		return nil, fmt.Errorf("core: Ask with k < 1")
 	}
 	a.expire(now)
-	leased := func(c space.Config) bool {
-		_, ok := a.leases[a.t.sp.Key(c)]
-		return ok
-	}
 	deadline := time.Time{}
 	if ttl > 0 {
 		deadline = now.Add(ttl)
 	}
+	keys := make([]string, 0, k) // leased by this call
 
 	if a.InitialPhase() {
-		picks, err := a.t.SelectInitial(k, leased)
+		picks, err := a.t.SelectInitial(k, a.filter())
 		if err != nil {
 			return nil, err
 		}
 		for _, c := range picks {
-			a.lease(c, deadline)
+			keys = append(keys, a.lease(c, deadline))
 		}
+		a.countSuggested(keys)
 		return picks, nil
 	}
 
 	picks := make([]space.Config, 0, k)
 	for len(picks) < k {
-		batch, err := a.t.SelectBatchFiltered(1, leased)
+		batch, err := a.t.SelectBatchFiltered(1, a.filter())
+		if errors.Is(err, errExhausted) {
+			break // nothing left outside the evaluated and leased set
+		}
 		if err != nil {
 			// Roll back this call's leases: candidates never handed out
 			// must not stay fantasized or fenced off.
-			for _, c := range picks {
-				a.release(a.t.sp.Key(c))
+			for _, key := range keys {
+				a.release(key)
 			}
 			return nil, err
 		}
@@ -191,9 +283,10 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 			break // pool net of leases exhausted
 		}
 		c := batch[0]
-		a.lease(c, deadline)
+		keys = append(keys, a.lease(c, deadline))
 		picks = append(picks, c)
 	}
+	a.countSuggested(keys)
 	return picks, nil
 }
 

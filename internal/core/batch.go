@@ -33,14 +33,14 @@ func (t *Tuner) SelectBatch(k int) ([]space.Config, error) {
 	return t.SelectBatchFiltered(k, nil)
 }
 
-// SelectBatchFiltered is SelectBatch with an exclusion predicate: skip,
-// when non-nil, removes configurations from acquisition on top of the
-// evaluated set — the lease filter of pending-aware ask/tell. The fit
-// sees the history's pending overlay (fantasized observations), so a
-// caller that fantasizes each pick before asking for the next gets an
-// internally diverse batch. With a nil skip and an empty overlay this
-// is exactly SelectBatch.
-func (t *Tuner) SelectBatchFiltered(k int, skip func(space.Config) bool) ([]space.Config, error) {
+// SelectBatchFiltered is SelectBatch with a lease filter: leased, when
+// non-nil, removes the candidates of live leases from acquisition on
+// top of the evaluated set (see AskTell). The fit sees the history's
+// pending overlay (fantasized observations), so a caller that
+// fantasizes each pick before asking for the next gets an internally
+// diverse batch. With a nil filter and an empty overlay this is
+// exactly SelectBatch.
+func (t *Tuner) SelectBatchFiltered(k int, leased *LeaseFilter) ([]space.Config, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: SelectBatch with k < 1")
 	}
@@ -52,7 +52,7 @@ func (t *Tuner) SelectBatchFiltered(k int, skip func(space.Config) bool) ([]spac
 		return nil, err
 	}
 	acq := t.acquisition()
-	acq.Skip = skip
+	acq.Leased = leased
 	return t.acquirer.Propose(acq, k)
 }
 

@@ -61,17 +61,14 @@ type Acquisition struct {
 	ProposalCandidates int
 	CandidateSamples   int
 	Scratch            *Scratch
-	// Skip, when non-nil, excludes configurations from acquisition on
-	// top of the evaluated set — the lease filter of pending-aware
-	// ask/tell. Every acquirer must honor it; a nil Skip must leave
-	// acquisition bit-identical to the pre-Skip behavior.
-	Skip func(space.Config) bool
-}
-
-// skips reports whether c is excluded by the acquisition's Skip
-// predicate (never excludes when Skip is nil).
-func (a *Acquisition) skips(c space.Config) bool {
-	return a.Skip != nil && a.Skip(c)
+	// Leased, when non-nil, excludes the candidates of live leases
+	// from acquisition on top of the evaluated set — the lease filter
+	// of pending-aware ask/tell. Every acquirer must honor it: loops
+	// over the pool test candidate indices (HasIndex), acquirers that
+	// draw configurations outside the pool test them (Has). It is nil
+	// when no lease is live, which must leave acquisition
+	// bit-identical to the lease-free path.
+	Leased *LeaseFilter
 }
 
 // rankedCandidate pairs a pool candidate index with its model score,
@@ -102,6 +99,7 @@ type Scratch struct {
 	rankedOK   bool
 
 	picks []space.Config // reused Propose result buffer
+	avail []int          // reused drawRemaining working set
 }
 
 // invalidate drops every cached value (used when the tuner's model is

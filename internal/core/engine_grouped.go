@@ -238,6 +238,17 @@ func (m *GroupedModel) Fit(h *History) error {
 	return nil
 }
 
+// fitExact folds the observed history into the flat surrogate without
+// fantasizing, for Importance. Until the auto-proposed partition is
+// resolved it runs the full Fit instead, so the partition comes from
+// the first fit whichever caller makes it.
+func (m *GroupedModel) fitExact(h *History) error {
+	if m.groups == nil {
+		return m.Fit(h)
+	}
+	return m.flat.fitExact(h)
+}
+
 // Observe is a no-op, like the flat model's: Fit refits incrementally.
 func (m *GroupedModel) Observe(obs Observation) { m.flat.Observe(obs) }
 
@@ -629,7 +640,7 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	// a composition), the evaluated set, and leased work.
 	kept := cands[:0]
 	for _, c := range cands {
-		if !a.Space.Valid(c) || a.History.Contains(c) || a.skips(c) {
+		if !a.Space.Valid(c) || a.History.Contains(c) || a.Leased.Has(c) {
 			continue
 		}
 		kept = append(kept, c)

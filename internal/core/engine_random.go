@@ -54,32 +54,14 @@ type randomAcquirer struct{}
 
 func (randomAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	if a.Pool != nil {
-		rem := a.Pool.Remaining()
-		avail := make([]int, 0, len(rem))
-		for _, idx := range rem {
-			if a.skips(a.Pool.Candidate(idx)) {
-				continue
-			}
-			avail = append(avail, idx)
-		}
-		if k > len(avail) {
-			k = len(avail)
-		}
-		out := make([]space.Config, 0, k)
-		for len(out) < k {
-			pick := a.RNG.Intn(len(avail))
-			out = append(out, a.Pool.Candidate(avail[pick]))
-			avail[pick] = avail[len(avail)-1]
-			avail = avail[:len(avail)-1]
-		}
-		return out, nil
+		return drawRemaining(a.Pool, a.Leased, k, a.RNG, a.Scratch), nil
 	}
 	const maxTries = 100000
 	var out []space.Config
 	seen := make(map[string]bool, k)
 	for try := 0; try < maxTries && len(out) < k; try++ {
 		c := a.Space.Sample(a.RNG)
-		if a.History.Contains(c) || seen[a.Space.Key(c)] || a.skips(c) {
+		if a.History.Contains(c) || seen[a.Space.Key(c)] || a.Leased.Has(c) {
 			continue
 		}
 		seen[a.Space.Key(c)] = true
@@ -89,4 +71,34 @@ func (randomAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		return nil, fmt.Errorf("core: random acquisition could not draw an unevaluated configuration")
 	}
 	return out, nil
+}
+
+// drawRemaining draws up to k distinct candidates uniformly at random
+// from the pool's remaining set net of leases — the pool path of both
+// the initial phase and the random engine. The working copy of the set
+// lives in s.avail when s is non-nil, so repeated draws reuse it.
+func drawRemaining(p *Pool, leased *LeaseFilter, k int, rng *stats.RNG, s *Scratch) []space.Config {
+	var avail []int
+	if s != nil {
+		avail = s.avail[:0]
+	}
+	for _, idx := range p.Remaining() {
+		if !leased.HasIndex(idx) {
+			avail = append(avail, idx)
+		}
+	}
+	if s != nil {
+		s.avail = avail
+	}
+	if k > len(avail) {
+		k = len(avail)
+	}
+	out := make([]space.Config, 0, k)
+	for len(out) < k {
+		pick := rng.Intn(len(avail))
+		out = append(out, p.Candidate(avail[pick]))
+		avail[pick] = avail[len(avail)-1]
+		avail = avail[:len(avail)-1]
+	}
+	return out
 }

@@ -72,29 +72,14 @@ type TPEModel struct {
 // α-quantile) are folded in, plus — when in-flight work exists — a
 // cold fantasy fit over the observed+fantasized view.
 func (m *TPEModel) Fit(h *History) error {
-	gen := h.Generation()
-	if m.s == nil || m.fitHist != h || m.fitGen != gen {
-		if m.b == nil || m.fitHist != h || m.b.n > h.Len() {
-			b, err := newSurrogateBuilder(h.Space(), m.cfg)
-			if err != nil {
-				return err
-			}
-			m.b = b
-			m.fant = nil
-			m.fitHist = h
-		}
-		s, err := m.b.Fold(h)
-		if err != nil {
-			return err
-		}
-		m.s = s
-		m.fitGen = gen
+	if err := m.fitExact(h); err != nil {
+		return err
 	}
 	if h.PendingLen() == 0 {
 		m.active = m.s
 		return nil
 	}
-	pend := h.PendingHash()
+	gen, pend := h.Generation(), h.PendingHash()
 	if m.fant == nil || m.fantGen != gen || m.fantPend != pend {
 		fb, err := newSurrogateBuilder(h.Space(), m.cfg)
 		if err != nil {
@@ -109,6 +94,34 @@ func (m *TPEModel) Fit(h *History) error {
 		m.fantPend = pend
 	}
 	m.active = m.fant
+	return nil
+}
+
+// fitExact is the exact half of Fit: it folds the observed history
+// into the incremental surrogate s and builds no fantasy, which only
+// acquisition reads. Introspection (Importance, Marginals) needs no
+// more, so Tuner.Importance calls this instead of Fit. The surrogate
+// serving Score is left as the last Fit chose it.
+func (m *TPEModel) fitExact(h *History) error {
+	gen := h.Generation()
+	if m.s != nil && m.fitHist == h && m.fitGen == gen {
+		return nil
+	}
+	if m.b == nil || m.fitHist != h || m.b.n > h.Len() {
+		b, err := newSurrogateBuilder(h.Space(), m.cfg)
+		if err != nil {
+			return err
+		}
+		m.b = b
+		m.fant = nil
+		m.fitHist = h
+	}
+	s, err := m.b.Fold(h)
+	if err != nil {
+		return err
+	}
+	m.s = s
+	m.fitGen = gen
 	return nil
 }
 
@@ -200,12 +213,12 @@ func (rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	scores := a.poolScores(batch)
 
 	if k == 1 {
-		// Argmax over the remaining pool net of skips, ties broken by
+		// Argmax over the remaining pool net of leases, ties broken by
 		// pool order — exactly the paper's per-iteration selection
-		// (with a nil Skip the scan is the original argmax).
+		// (with no lease live the scan is the original argmax).
 		best := -1
 		for i := 0; i < len(rem); i++ {
-			if a.skips(p.Candidate(rem[i])) {
+			if a.Leased.HasIndex(rem[i]) {
 				continue
 			}
 			if best < 0 || scores[rem[i]] > scores[rem[best]] {
@@ -238,7 +251,7 @@ func (rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 				break
 			}
 			c := p.Candidate(cand.idx)
-			if a.skips(c) || containsConfig(picks, c) {
+			if a.Leased.HasIndex(cand.idx) || containsConfig(picks, c) {
 				continue
 			}
 			if minHamming(picks, c) >= minDist {
@@ -262,8 +275,8 @@ func (rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 // and the scores both only change when the fantasized history does,
 // and the comparator is a strict total order (the index tiebreak), so
 // both the cache and the on-demand extraction yield the unique
-// ordering a full sort would produce. Skip filtering happens at
-// admission time, so the cached ranking is skip-independent.
+// ordering a full sort would produce. Lease filtering happens at
+// admission time, so the cached ranking is lease-independent.
 func rankRemaining(a *Acquisition, rem []int, scores []float64) *rankedPool {
 	s := a.Scratch
 	if s == nil {
@@ -375,7 +388,7 @@ func proposeOne(a *Acquisition) ([]space.Config, error) {
 	bestScore := math.Inf(-1)
 	for i := 0; i < a.ProposalCandidates; i++ {
 		c := a.Model.Sample(a.RNG)
-		if a.History.Contains(c) || a.skips(c) {
+		if a.History.Contains(c) || a.Leased.Has(c) {
 			continue
 		}
 		if sc := a.Model.Score(c); sc > bestScore {
@@ -403,7 +416,7 @@ func proposeBatch(a *Acquisition, k int) ([]space.Config, error) {
 	for i := 0; i < draws; i++ {
 		c := a.Model.Sample(a.RNG)
 		key := a.Space.Key(c)
-		if a.History.Contains(c) || seen[key] || a.skips(c) {
+		if a.History.Contains(c) || seen[key] || a.Leased.Has(c) {
 			continue
 		}
 		seen[key] = true

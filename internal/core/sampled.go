@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -199,7 +200,7 @@ func (samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	for i := 0; i < draws; i++ {
 		c := a.Model.Sample(a.RNG)
 		key := a.Space.Key(c)
-		if seen[key] || a.History.Contains(c) || a.skips(c) {
+		if seen[key] || a.History.Contains(c) || a.Leased.Has(c) {
 			continue
 		}
 		seen[key] = true
@@ -252,14 +253,19 @@ func pickTop(a *Acquisition, cands []space.Config, k int, who string) ([]space.C
 	return out, nil
 }
 
+// errExhausted marks a pool-free acquisition that found no
+// configuration outside the evaluated and leased set. Ask ends its
+// batch short on it, as it does on an exhausted pool; Step reports it.
+var errExhausted = errors.New("exhausted the space")
+
 // exploreUniform draws uniformly until it finds a configuration that
 // is neither evaluated nor leased.
 func exploreUniform(a *Acquisition, who string) ([]space.Config, error) {
 	for try := 0; try < 100000; try++ {
 		c := a.Space.Sample(a.RNG)
-		if !a.History.Contains(c) && !a.skips(c) {
+		if !a.History.Contains(c) && !a.Leased.Has(c) {
 			return []space.Config{c}, nil
 		}
 	}
-	return nil, fmt.Errorf("core: %s exhausted the space", who)
+	return nil, fmt.Errorf("core: %s %w", who, errExhausted)
 }

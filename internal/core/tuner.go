@@ -278,15 +278,28 @@ func (t *Tuner) StrategyInUse() Strategy { return t.strategy }
 // when the history is empty or the fit fails. The fit is generation-
 // cached, so calling this between evaluations costs nothing beyond
 // the first call; the returned slice may be shared with the model's
-// cache and must not be mutated.
+// cache and must not be mutated. Importance reads only the exact fit
+// of the observed history, so for the TPE models it builds no
+// fantasized surrogate around pending work.
 func (t *Tuner) Importance() ([]float64, error) {
 	if t.history.Len() == 0 {
 		return nil, fmt.Errorf("core: Importance before any evaluation")
 	}
-	if err := t.model.Fit(t.history); err != nil {
+	fit := t.model.Fit
+	if m, ok := t.model.(exactFitter); ok {
+		fit = m.fitExact
+	}
+	if err := fit(t.history); err != nil {
 		return nil, err
 	}
 	return t.model.Importance(), nil
+}
+
+// exactFitter is implemented by the models whose Fit adds a
+// fantasized surrogate around pending work to an exact fit; fitExact
+// runs only the exact fit.
+type exactFitter interface {
+	fitExact(h *History) error
 }
 
 // Evaluations returns the number of objective evaluations so far.
@@ -438,33 +451,15 @@ func (t *Tuner) sampleInitial() (space.Config, error) {
 // SelectInitial returns up to k distinct not-yet-evaluated
 // configurations drawn uniformly at random, without evaluating them —
 // the ask/tell counterpart of the initial sampling phase, for callers
-// (e.g. AskTell) that hand candidates to external workers. skip, when
-// non-nil, excludes further configurations (such as currently leased
-// ones). A short result means the pool net of skips has fewer than k
-// configurations left.
-func (t *Tuner) SelectInitial(k int, skip func(space.Config) bool) ([]space.Config, error) {
+// (e.g. AskTell) that hand candidates to external workers. leased,
+// when non-nil, excludes the candidates of live leases. A short result
+// means the pool net of leases has fewer than k configurations left.
+func (t *Tuner) SelectInitial(k int, leased *LeaseFilter) ([]space.Config, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: SelectInitial with k < 1")
 	}
 	if t.pool != nil {
-		rem := t.pool.Remaining()
-		avail := make([]int, 0, len(rem))
-		for _, idx := range rem {
-			if skip == nil || !skip(t.pool.Candidate(idx)) {
-				avail = append(avail, idx)
-			}
-		}
-		if k > len(avail) {
-			k = len(avail)
-		}
-		out := make([]space.Config, 0, k)
-		for len(out) < k {
-			pick := t.rng.Intn(len(avail))
-			out = append(out, t.pool.Candidate(avail[pick]))
-			avail[pick] = avail[len(avail)-1]
-			avail = avail[:len(avail)-1]
-		}
-		return out, nil
+		return drawRemaining(t.pool, leased, k, t.rng, &t.scratch), nil
 	}
 	const maxTries = 100000
 	var out []space.Config
@@ -472,7 +467,7 @@ func (t *Tuner) SelectInitial(k int, skip func(space.Config) bool) ([]space.Conf
 	for try := 0; try < maxTries && len(out) < k; try++ {
 		c := t.sp.Sample(t.rng)
 		key := t.sp.Key(c)
-		if t.history.Contains(c) || seen[key] || (skip != nil && skip(c)) {
+		if t.history.Contains(c) || seen[key] || leased.Has(c) {
 			continue
 		}
 		seen[key] = true

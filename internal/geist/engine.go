@@ -171,7 +171,7 @@ func (q *geistAcquirer) Propose(a *core.Acquisition, k int) ([]space.Config, err
 	n := p.Size()
 	uneval := make([]bool, n)
 	for _, idx := range p.Remaining() {
-		if a.Skip != nil && a.Skip(p.Candidate(idx)) {
+		if a.Leased.HasIndex(idx) {
 			continue // leased out by pending-aware ask/tell
 		}
 		uneval[idx] = true
