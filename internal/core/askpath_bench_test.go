@@ -9,6 +9,8 @@ package core_test
 // fit-incremental + scratch-buffer optimization.
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -209,6 +211,90 @@ func BenchmarkAskTellBatch4(b *testing.B) {
 	}
 }
 
+// longGridTuner returns a ranking tuner over gridSpace(8) resumed from
+// n observations spread over the grid by an odd stride (a permutation
+// of the 32 768 grid indices), valued by gridObjective: a long session
+// reached without stepping through it.
+func longGridTuner(tb testing.TB, n int) *core.Tuner {
+	tb.Helper()
+	sp, obj := gridSpace(8), gridObjective(8)
+	tn, err := core.NewTuner(sp, obj, core.Options{Seed: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	obs := make([]core.Observation, n)
+	for i := range obs {
+		c := sp.FromGridIndex(longGridIndex(sp, i))
+		obs[i] = core.Observation{Config: c, Value: obj(c)}
+	}
+	if err := tn.ResumeObs(obs); err != nil {
+		tb.Fatal(err)
+	}
+	return tn
+}
+
+// longGridIndex is the i-th grid index of longGridTuner's stride order.
+func longGridIndex(sp *space.Space, i int) int { return i * 7919 % sp.GridSize() }
+
+// fantasyHistory returns the history of a long session with three
+// unobserved configurations pending, and a toggle that adds a fourth
+// to the overlay on even calls and removes it on odd ones, so every
+// Fit after a toggle sees a new pending set while the observations
+// stay put.
+func fantasyHistory(tb testing.TB, n int) (*core.History, func(i int)) {
+	tb.Helper()
+	tn := longGridTuner(tb, n)
+	h, sp := tn.History(), tn.History().Space()
+	for i := 0; i < 3; i++ {
+		h.AddPending(sp.FromGridIndex(longGridIndex(sp, n+i)))
+	}
+	extra := sp.FromGridIndex(longGridIndex(sp, n+3))
+	return h, func(i int) {
+		if i%2 == 0 {
+			h.AddPending(extra)
+		} else {
+			h.RemovePending(extra)
+		}
+	}
+}
+
+// BenchmarkFantasizedFit measures one fantasized TPE fit on a long
+// session: each Fit misses the (generation, pending hash) cache, but
+// no observation arrives between fits.
+func BenchmarkFantasizedFit(b *testing.B) {
+	for _, n := range []int{1000, 8000} {
+		b.Run(fmt.Sprintf("obs=%d", n), func(b *testing.B) {
+			h, toggle := fantasyHistory(b, n)
+			model := &core.TPEModel{}
+			if err := model.Fit(h); err != nil { // the exact fit, outside the timed region
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				toggle(i)
+				if err := model.Fit(h); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAskTellBatch4Long is BenchmarkAskTellBatch4 on a session
+// resumed at 8 000 observations: three of the four picks fit a
+// fantasized surrogate over a long history.
+func BenchmarkAskTellBatch4Long(b *testing.B) {
+	at, obj := core.NewAskTell(longGridTuner(b, 8000)), gridObjective(8)
+	now := time.Unix(0, 0)
+	askTell(b, at, obj, 4, now) // the exact fit and the score caches
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		askTell(b, at, obj, 4, now)
+	}
+}
+
 // BenchmarkNewTuner builds a ranking tuner and its 32 768-candidate
 // pool, as a daemon does for every session it creates or rehydrates.
 func BenchmarkNewTuner(b *testing.B) {
@@ -239,5 +325,40 @@ func TestAskTellSerialAllocsFlat(t *testing.T) {
 	t.Logf("allocations per Ask(1)+Tell: %.1f at 1 024 candidates, %.1f at 32 768", small, large)
 	if large > small+8 {
 		t.Fatalf("Ask(1)+Tell allocates %.1f objects on 32 768 candidates, %.1f on 1 024: the ask path does per-candidate work", large, small)
+	}
+}
+
+// TestFantasizedFitBytesFlat guards the fantasized fit against work
+// proportional to the history: the bytes one cache-missing fantasized
+// Fit allocates are about the same at 4 000 observations as at 500.
+// It reads the TotalAlloc delta rather than AllocsPerRun, because an
+// O(n) fit can allocate O(n) bytes in a near-constant number of
+// objects.
+func TestFantasizedFitBytesFlat(t *testing.T) {
+	perFit := func(n int) uint64 {
+		h, toggle := fantasyHistory(t, n)
+		model := &core.TPEModel{}
+		for i := 0; i < 2; i++ { // the exact fit and the fantasy buffers
+			toggle(i)
+			if err := model.Fit(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const fits = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < fits; i++ {
+			toggle(i)
+			if err := model.Fit(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / fits
+	}
+	small, large := perFit(500), perFit(4000)
+	t.Logf("bytes per fantasized Fit: %d at 500 observations, %d at 4 000", small, large)
+	if large > small+4096 {
+		t.Fatalf("a fantasized Fit allocates %d B at 4 000 observations, %d B at 500: the fit does per-observation work", large, small)
 	}
 }

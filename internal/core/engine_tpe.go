@@ -56,7 +56,10 @@ type TPEModel struct {
 	// incremental fit always runs first, so the no-pending path is
 	// bit-identical to the pre-overlay behavior and introspection
 	// (Importance, Marginals, Surrogate) keeps reporting real data.
+	// The fantasy is built in fb, whose buffers every fantasized fit
+	// reuses: b's statistics copied, plus the overlay folded in.
 	active   *Surrogate
+	fb       surrogateBuilder
 	fant     *Surrogate
 	fantGen  uint64
 	fantPend uint64
@@ -69,8 +72,10 @@ type TPEModel struct {
 // history's generation and pending overlay are unchanged since the
 // last successful Fit this is a no-op; otherwise only the new
 // observations (and any membership flips caused by the moved
-// α-quantile) are folded in, plus — when in-flight work exists — a
-// cold fantasy fit over the observed+fantasized view.
+// α-quantile) are folded in, plus — when in-flight work exists — the
+// fantasy fit: the exact statistics copied, with the pending overlay's
+// constant-liar rows folded on top (surrogateBuilder.foldPending),
+// bit-identical to a cold fit of the observed+fantasized view.
 func (m *TPEModel) Fit(h *History) error {
 	if err := m.fitExact(h); err != nil {
 		return err
@@ -81,11 +86,7 @@ func (m *TPEModel) Fit(h *History) error {
 	}
 	gen, pend := h.Generation(), h.PendingHash()
 	if m.fant == nil || m.fantGen != gen || m.fantPend != pend {
-		fb, err := newSurrogateBuilder(h.Space(), m.cfg)
-		if err != nil {
-			return err
-		}
-		s, err := fb.Fold(h.Fantasized())
+		s, err := m.fb.foldPending(m.b, h)
 		if err != nil {
 			return err
 		}

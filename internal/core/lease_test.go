@@ -26,6 +26,17 @@ func leaseTestValue(c space.Config) float64 {
 	return (c[0]-3)*(c[0]-3) + (c[1]-1)*(c[1]-1) + 0.5*(c[2]-2)*(c[2]-2) + 0.25*c[3]
 }
 
+// leaseTestMixedSpace is leaseTestSpace with b and d made continuous,
+// so fantasized fits gather KDE points from the pending overlay.
+func leaseTestMixedSpace() *space.Space {
+	return space.New(
+		space.DiscreteInts("a", 0, 1, 2, 3, 4),
+		space.Continuous("b", 0, 4),
+		space.DiscreteInts("c", 0, 1, 2, 3),
+		space.Continuous("d", 0, 3),
+	)
+}
+
 // smallSampledSpace is a 1 049 600-point grid, just past
 // DefaultEnumerateLimit, whose constraint keeps 144 configurations:
 // pool-backed engines get a SampledPool, and a refreshed pool overlaps
@@ -128,9 +139,13 @@ func runPendingScript(t *testing.T, sp *space.Space, value func(space.Config) fl
 
 // TestAskTellPendingGoldenSequence pins the pending ask path: every
 // pick of runPendingScript, for the pool engines (ranking on an
-// enumerated and on a refreshed sampled pool, random) and a pool-free
-// one (sampling). The literals were recorded before the lease filter
-// moved from Space.Key lookups to pool indices.
+// enumerated and on a refreshed sampled pool, ranking under the min
+// liar, random) and the pool-free ones (sampling, grouped, proposal on
+// a discrete and on a mixed continuous space). The first four literals
+// were recorded before the lease filter moved from Space.Key lookups
+// to pool indices; the rest before fantasized fits stopped rebuilding
+// the surrogate from the whole history. The max liar is not listed: on
+// this script it reproduces the mean liar's sequence exactly.
 func TestAskTellPendingGoldenSequence(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -193,6 +208,74 @@ func TestAskTellPendingGoldenSequence(t *testing.T) {
 				"6|9", "10|6", "6|0", "0|3", "5|6", "9|7",
 			},
 			dups: 1},
+		{name: "ranking-liar-min", sp: leaseTestSpace(), value: leaseTestValue,
+			opts: Options{Seed: 2, InitialSamples: 20, Liar: "min"},
+			want: []string{
+				"0|2|2|0", "3|3|0|1", "0|4|2|1", "3|3|2|0", "3|1|3|3", "1|0|3|1",
+				"3|0|3|2", "1|0|1|2", "3|0|0|2", "3|3|3|0", "3|3|2|2", "1|3|3|2",
+				"3|1|3|1", "4|3|2|3", "4|4|2|1", "0|2|2|1", "3|1|1|0", "3|2|2|2",
+				"1|4|2|1", "1|4|1|2", "0|0|2|0", "2|1|2|2", "0|4|1|3", "3|0|3|0",
+				"2|1|1|0", "2|1|1|3", "2|0|1|0", "2|0|1|3", "2|1|1|1", "2|2|1|3",
+				"2|2|1|0", "2|2|1|1", "2|0|1|1", "2|0|1|3", "2|2|0|3", "2|2|0|0",
+				"2|1|0|3", "3|1|0|3", "4|1|0|3", "4|2|0|3", "4|1|3|3", "4|1|0|0",
+				"4|1|0|1", "4|1|0|2", "4|1|3|0", "4|1|3|1", "4|1|3|2", "4|2|0|0",
+			},
+			dups: 1},
+		{name: "grouped", sp: leaseTestSpace(), value: leaseTestValue,
+			opts: Options{Seed: 14, InitialSamples: 20, Engine: "grouped", Groups: [][]string{{"a", "b"}, {"c", "d"}}},
+			want: []string{
+				"3|3|3|3", "1|3|0|3", "2|3|3|3", "3|4|0|3", "2|1|2|2", "0|0|1|2",
+				"4|2|2|0", "0|0|2|0", "3|3|2|3", "4|4|1|1", "1|4|0|1", "2|0|0|3",
+				"1|1|2|1", "0|3|3|0", "4|2|0|3", "0|0|2|2", "2|4|1|0", "2|3|2|1",
+				"3|2|0|1", "0|2|3|0", "3|3|1|1", "2|4|3|2", "2|4|2|1", "3|3|1|2",
+				"4|1|2|3", "4|2|2|3", "4|1|0|3", "1|2|0|1", "3|2|2|1", "3|1|2|1",
+				"3|2|0|3", "4|1|2|1", "4|2|2|1", "1|2|2|3", "3|1|2|3", "4|2|0|1",
+				"4|1|2|0", "4|1|2|2", "3|1|2|0", "4|2|2|2", "2|1|2|1", "3|1|2|2",
+				"2|2|2|1", "4|0|2|1", "4|1|1|0", "4|1|3|0", "1|1|2|2", "0|1|2|1",
+			},
+			dups: 0},
+		{name: "proposal", sp: leaseTestSpace(), value: leaseTestValue,
+			opts: Options{Seed: 15, InitialSamples: 20, Engine: "proposal"},
+			want: []string{
+				"3|2|1|0", "2|1|3|3", "2|4|2|1", "2|1|3|1", "2|0|0|1", "2|0|0|3",
+				"0|4|0|0", "2|1|1|0", "1|4|3|1", "4|2|3|3", "2|1|1|3", "0|4|2|0",
+				"1|0|0|2", "1|0|3|3", "4|3|0|3", "1|4|1|1", "1|1|1|3", "3|3|0|3",
+				"2|2|0|3", "3|2|0|3", "2|0|3|0", "3|3|3|0", "1|2|3|3", "4|4|3|3",
+				"3|1|1|2", "2|1|1|1", "4|1|1|0", "2|1|3|0", "2|1|1|2", "2|1|2|0",
+				"2|0|1|0", "2|2|3|0", "3|1|1|1", "0|1|1|2", "3|1|1|0", "2|1|3|2",
+				"3|1|2|1", "4|1|1|2", "2|1|2|2", "4|1|1|1", "3|2|1|1", "3|1|2|0",
+				"0|1|1|0", "3|3|1|1", "3|1|2|2", "2|1|2|1", "4|1|2|0", "3|3|1|0",
+			},
+			dups: 0},
+		{name: "proposal-continuous", sp: leaseTestMixedSpace(), value: leaseTestValue,
+			opts: Options{Seed: 16, InitialSamples: 20, Engine: "proposal"},
+			want: []string{
+				"4|0.067958094035886152|3|0.15521128365375392", "4|2.803551826428456|3|1.2235868676781199",
+				"0|1.5067088126545847|2|0.43641608911909691", "3|3.159916872083798|3|1.9220534059311167",
+				"3|1.3627887687376279|3|0.17351426052103092", "4|0.88806563861496812|3|2.4244501798546487",
+				"0|2.0172228469683842|1|1.400874534092555", "4|1.5420777769381266|1|1.5592147613417353",
+				"3|2.0567526141403674|1|2.1610597158371649", "2|1.3215603869852965|3|2.1662114853760666",
+				"0|0.12263730043349419|2|1.1974519865722331", "0|2.71771298807914|1|1.723922806982376",
+				"4|3.339001493220676|0|1.544954477554811", "2|3.6258191706660692|3|2.182996214077896",
+				"1|0.79704382966158205|2|2.5780603363525993", "2|1.2062527480556788|0|1.6833613683925648",
+				"4|3.3838691223177082|2|0.47280584823109095", "4|1.9367092225875036|1|2.6351808573062656",
+				"4|2.0855778089734582|1|0.39620291541918007", "3|0.35593592762780402|2|2.6862625369128694",
+				"0|1.868388268623475|0|2.4397278772942621", "4|0.21609633567882192|0|2.2145149138004454",
+				"3|1.377006174338903|2|2.8003702952247878", "4|0.10697973362654745|2|2.0567359442955881",
+				"3|1.7226336050030504|3|3", "3|1.2568792326731049|3|2.389895266384003",
+				"3|1.3524209735376087|1|3", "2|1.4045859600690651|3|2.0624623669936781",
+				"3|1.3702419984643563|3|3", "3|1.1499607565128227|3|3",
+				"3|1.029774065288787|2|3", "3|1.2336895344801158|2|2.7643741395931491",
+				"3|1.396527127441789|3|3", "3|1.3061463865053913|3|3",
+				"2|1.2632113617382785|3|3", "3|1.2278569197411111|3|2.5315073760385012",
+				"3|1.2500287029540418|2|3", "3|1.212460360994398|2|3",
+				"3|1.2302831541960126|2|3", "3|1.1935070429871306|2|2.8396263387818257",
+				"3|1.2186383967783454|2|3", "3|1.2095968184292805|2|3",
+				"3|1.2314004859106427|3|3", "3|1.2979618049472328|3|3",
+				"3|1.2300397046418599|2|3", "3|1.2070985139583736|2|2.7341085254493196",
+				"3|1.2206185796540427|2|3", "3|1.2256368021968178|2|2.8764743620699207",
+			},
+			dups: 0},
 	}
 	const print = false
 	for _, tc := range cases {

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
+	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
 func TestParseLiarPolicy(t *testing.T) {
@@ -121,6 +124,135 @@ func TestFantasizedLiarValues(t *testing.T) {
 		}
 		if h.Fantasized() == f {
 			t.Errorf("%v: Fantasized served a stale view across a generation bump", tc.policy)
+		}
+	}
+}
+
+// TestFantasizedFitMatchesCold drives random AddObs, AddPending and
+// RemovePending steps over a mixed discrete and continuous space with
+// tied values, under every liar policy, with and without a transfer
+// prior. After every Fit the model must score probes and draw samples
+// bit-identically to a cold BuildSurrogate of h.Fantasized(), and its
+// Surrogate must still be the exact cold build of the observations.
+func TestFantasizedFitMatchesCold(t *testing.T) {
+	sp := space.New(
+		space.DiscreteInts("threads", 1, 2, 4, 8),
+		space.Discrete("layout", "aos", "soa", "hybrid"),
+		space.Continuous("alpha", 0, 1),
+		space.DiscreteInts("tile", 8, 16, 32, 64, 128),
+		space.Continuous("beta", -2, 2),
+	)
+	// Few distinct values, so thresholds sit on ties and the liar value
+	// often equals observed ones.
+	value := func(r *stats.RNG, c space.Config) float64 {
+		return float64(r.Intn(5)) + math.Round(4*c[2])/4
+	}
+	srcRNG := stats.NewRNG(99)
+	src := NewHistory(sp)
+	for src.Len() < 30 {
+		if c := sp.Sample(srcRNG); !src.Contains(c) {
+			src.MustAdd(c, value(srcRNG, c))
+		}
+	}
+	prior, err := NewPrior(src, SurrogateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+	for _, liar := range []LiarPolicy{LiarMean, LiarMin, LiarMax} {
+		for _, withPrior := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/prior=%v", liar, withPrior), func(t *testing.T) {
+				cfg := SurrogateConfig{}
+				seed := uint64(10*int(liar) + 1)
+				if withPrior {
+					cfg.Prior = prior
+					seed++
+				}
+				rng := stats.NewRNG(seed)
+				h := NewHistory(sp)
+				h.SetLiar(liar)
+				model := &TPEModel{cfg: cfg}
+				var pending []space.Config
+				fresh := func() space.Config {
+					for {
+						c := sp.Sample(rng)
+						if !h.Contains(c) && !containsConfig(pending, c) {
+							return c
+						}
+					}
+				}
+				probes := make([]space.Config, 16)
+				for i := range probes {
+					probes[i] = sp.Sample(rng)
+				}
+				for step := 0; step < 150; step++ {
+					switch op := rng.Intn(10); {
+					case op < 4 || h.Len() < 2:
+						// A result arrives: mostly for a pending
+						// configuration, which leaves the overlay first
+						// (as Tell releases its lease), sometimes for a
+						// fresh one.
+						var c space.Config
+						if len(pending) > 0 && rng.Intn(3) > 0 {
+							i := rng.Intn(len(pending))
+							c = pending[i]
+							pending = append(pending[:i], pending[i+1:]...)
+							h.RemovePending(c)
+						} else {
+							c = fresh()
+						}
+						h.MustAdd(c, value(rng, c))
+					case op < 7:
+						c := fresh()
+						pending = append(pending, c)
+						h.AddPending(c)
+					case len(pending) > 0:
+						i := rng.Intn(len(pending))
+						h.RemovePending(pending[i])
+						pending = append(pending[:i], pending[i+1:]...)
+					}
+					if err := model.Fit(h); err != nil {
+						t.Fatalf("step %d: fit: %v", step, err)
+					}
+					cold, err := BuildSurrogate(h.Fantasized(), cfg)
+					if err != nil {
+						t.Fatalf("step %d: cold fantasized build: %v", step, err)
+					}
+					exact, err := BuildSurrogate(h, cfg)
+					if err != nil {
+						t.Fatalf("step %d: cold exact build: %v", step, err)
+					}
+					for _, pair := range []struct {
+						name      string
+						got, want *Surrogate
+					}{{"fantasized", model.current(), cold}, {"exact", model.Surrogate(), exact}} {
+						got, want := pair.got, pair.want
+						if !sameBits(got.Threshold(), want.Threshold()) || got.GoodCount() != want.GoodCount() || got.BadCount() != want.BadCount() {
+							t.Fatalf("step %d (%d observed, %d pending): %s split %v %d/%d, cold %v %d/%d",
+								step, h.Len(), h.PendingLen(), pair.name, got.Threshold(), got.GoodCount(), got.BadCount(),
+								want.Threshold(), want.GoodCount(), want.BadCount())
+						}
+					}
+					for _, c := range append(probes, pending...) {
+						if g, w := model.Score(c), cold.Score(c); !sameBits(g, w) {
+							t.Fatalf("step %d: score(%s) = %v, cold fantasized %v", step, sp.Describe(c), g, w)
+						}
+						if g, w := model.Surrogate().Score(c), exact.Score(c); !sameBits(g, w) {
+							t.Fatalf("step %d: exact score(%s) = %v, cold exact %v", step, sp.Describe(c), g, w)
+						}
+					}
+					r1, r2 := stats.NewRNG(uint64(step)), stats.NewRNG(uint64(step))
+					for i := 0; i < 8; i++ {
+						g, w := model.Sample(r1), cold.SampleGood(r2)
+						for d := range w {
+							if !sameBits(g[d], w[d]) {
+								t.Fatalf("step %d: sample %d = %s, cold fantasized %s", step, i, sp.Key(g), sp.Key(w))
+							}
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -50,10 +50,11 @@ func packFloats(vals []float64) []byte {
 	return buf
 }
 
-// unpackFloats reverses packFloats, checking the element count.
+// unpackFloats reverses packFloats, checking the element count by
+// division, so no count can overflow the size it is checked against.
 func unpackFloats(buf []byte, want int) ([]float64, error) {
-	if len(buf) != 8*want {
-		return nil, fmt.Errorf("core: snapshot payload holds %d bytes, want %d", len(buf), 8*want)
+	if want < 0 || len(buf)%8 != 0 || len(buf)/8 != want {
+		return nil, fmt.Errorf("core: snapshot payload holds %d bytes, want %d float64s", len(buf), want)
 	}
 	out := make([]float64, want)
 	for i := range out {
@@ -62,16 +63,18 @@ func unpackFloats(buf []byte, want int) ([]float64, error) {
 	return out, nil
 }
 
-// PackObservations exports h's observations for snapshotting. The
-// packed form round-trips through UnpackObservations bit-identically.
-func PackObservations(h *History) PackedObservations {
-	n := h.Len()
-	p := h.Space().NumParams()
-	configs := make([]float64, 0, n*p)
+// PackObservations exports observations (a History's, in evaluation
+// order) for snapshotting. The packed form round-trips through
+// UnpackObservations bit-identically.
+func PackObservations(obs []Observation) PackedObservations {
+	n := len(obs)
+	var configs []float64
+	if n > 0 {
+		configs = make([]float64, 0, n*len(obs[0].Config))
+	}
 	values := make([]float64, n)
 	var extras []PackedExtra
-	for i := 0; i < n; i++ {
-		o := h.At(i)
+	for i, o := range obs {
 		configs = append(configs, o.Config...)
 		values[i] = o.Value
 		if o.Metrics != nil || o.Objectives != nil {
@@ -83,11 +86,14 @@ func PackObservations(h *History) PackedObservations {
 
 // UnpackObservations rebuilds the observation list packed by
 // PackObservations. n is the expected observation count (from the
-// snapshot header); mismatched payload sizes and out-of-range extras
-// are errors, so a corrupt snapshot fails loudly rather than
-// resuming a truncated history.
+// snapshot header); a negative or overflowing count, mismatched
+// payload sizes and out-of-range extras are errors, so a corrupt
+// snapshot fails loudly rather than resuming a truncated history.
 func UnpackObservations(sp *space.Space, p PackedObservations, n int) ([]Observation, error) {
 	dims := sp.NumParams()
+	if n < 0 || (dims > 0 && n > math.MaxInt/dims) {
+		return nil, fmt.Errorf("core: snapshot claims %d observations of %d parameters", n, dims)
+	}
 	configs, err := unpackFloats(p.Configs, n*dims)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot configs: %w", err)

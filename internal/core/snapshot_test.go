@@ -32,7 +32,7 @@ func TestPackObservationsRoundTrip(t *testing.T) {
 		}
 	}
 
-	packed := PackObservations(h)
+	packed := PackObservations(h.Observations())
 	out, err := UnpackObservations(sp, packed, h.Len())
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestUnpackObservationsValidation(t *testing.T) {
 	h := NewHistory(sp)
 	h.MustAdd(space.Config{1}, 1)
 	h.MustAdd(space.Config{2}, 2)
-	packed := PackObservations(h)
+	packed := PackObservations(h.Observations())
 
 	if _, err := UnpackObservations(sp, packed, 3); err == nil {
 		t.Fatal("unpack accepted an event count larger than the payload")
@@ -105,5 +105,28 @@ func TestUnpackObservationsValidation(t *testing.T) {
 	bad.Configs = packed.Configs[:len(packed.Configs)-3]
 	if _, err := UnpackObservations(sp, bad, 2); err == nil {
 		t.Fatal("unpack accepted a truncated config payload")
+	}
+
+	// Counts a checksum-valid header can still claim: negative, or so
+	// large that a byte size computed by multiplication wraps around to
+	// the empty payload's.
+	params := func(n int) *space.Space {
+		ps := make([]space.Param, n)
+		for i := range ps {
+			ps[i] = space.DiscreteInts(string(rune('a'+i)), 0, 1)
+		}
+		return space.New(ps...)
+	}
+	for _, tc := range []struct {
+		params, n int
+	}{
+		{1, -1},
+		{1, 1 << 61},
+		{3, 1 << 59},
+		{4, 1 << 62},
+	} {
+		if _, err := UnpackObservations(params(tc.params), PackedObservations{}, tc.n); err == nil {
+			t.Errorf("unpack accepted %d observations of %d parameters from an empty payload", tc.n, tc.params)
+		}
 	}
 }

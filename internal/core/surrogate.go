@@ -167,14 +167,7 @@ func BuildMaskedSurrogate(h *History, goodMask []bool, cfg SurrogateConfig) (*Su
 		return nil, err
 	}
 	for i, o := range h.Observations() {
-		good := goodMask[i]
-		b.goodMask = append(b.goodMask, good)
-		b.count(o.Config, good, +1)
-		if good {
-			b.nGood++
-		} else {
-			b.nBad++
-		}
+		b.add(o.Config, goodMask[i])
 	}
 	b.n = h.Len()
 	return b.assemble(h, math.NaN())

@@ -30,6 +30,11 @@ import (
 //     history in evaluation order and filtering on membership —
 //     exactly the order the cold path's partition loop produces.
 //
+// The same facts make the fantasized surrogate incremental too
+// (foldPending): the exact statistics plus the pending overlay's
+// constant-liar rows equal a cold fold of History.Fantasized(), whose
+// extra rows are exactly those, appended after the observations.
+//
 // Both the cold path (BuildSurrogate) and the incremental path
 // (TPEModel.Fit) assemble the final densities through the same
 // assemble/density code below, so they cannot drift apart.
@@ -37,9 +42,12 @@ type surrogateBuilder struct {
 	sp  *space.Space
 	cfg SurrogateConfig // defaulted and validated
 
-	n        int       // observations folded in so far
-	sorted   []float64 // all observed values, ascending
-	goodMask []bool    // per observation: in the good partition?
+	n      int       // observations folded in so far
+	sorted []float64 // all folded values, ascending
+	// goodMask holds one membership bit per folded row: the n
+	// observations, then — in a fantasy builder only — the pending
+	// overlay in History.pend order.
+	goodMask []bool
 	nGood    int
 	nBad     int
 
@@ -109,22 +117,95 @@ func (b *surrogateBuilder) Fold(h *History) (*Surrogate, error) {
 	if len(obs) < b.n {
 		return nil, fmt.Errorf("core: history shrank from %d to %d observations", b.n, len(obs))
 	}
-	old := b.n
-	for _, o := range obs[old:] {
-		b.insertValue(o.Value)
+	added := obs[b.n:]
+	for _, o := range added {
+		b.insertValue(o.Value, 1)
 	}
 	threshold := stats.QuantileSorted(b.sorted, b.cfg.Quantile)
+	b.flip(obs[:b.n], threshold)
+	for _, o := range added {
+		b.add(o.Config, o.Value <= threshold)
+	}
+	b.n = len(obs)
+	return b.assemble(h, threshold)
+}
 
-	// A moved threshold can flip the membership of existing
-	// observations (good↔bad); adjust their counts before folding in
-	// the new ones.
-	for i := 0; i < old; i++ {
-		good := obs[i].Value <= threshold
+// foldPending makes b the fantasized statistics of h — a copy of
+// exact, which must have folded every observation of h, extended with
+// one constant-liar row per pending configuration — and assembles the
+// fantasized surrogate. b's buffers are reused, so a fit that sees
+// only the overlay change costs O(n) copying and comparing but no
+// allocation proportional to n. The result is bit-identical to a cold
+// Fold of h.Fantasized(): the same values are inserted in the same
+// order, and the overlay rows follow the observations in h.pend order.
+func (b *surrogateBuilder) foldPending(exact *surrogateBuilder, h *History) (*Surrogate, error) {
+	if exact.n != h.Len() {
+		return nil, fmt.Errorf("core: fantasy fold of %d observations over exact statistics of %d", h.Len(), exact.n)
+	}
+	b.copyFrom(exact)
+	lie := h.liarValue()
+	b.insertValue(lie, len(h.pend))
+	threshold := stats.QuantileSorted(b.sorted, b.cfg.Quantile)
+	b.flip(h.Observations(), threshold)
+	for _, pe := range h.pend {
+		b.add(pe.c, lie <= threshold)
+	}
+	return b.assemble(h, threshold)
+}
+
+// copyFrom overwrites b's statistics with src's, reusing b's buffers
+// (a zero builder allocates them on first use).
+func (b *surrogateBuilder) copyFrom(src *surrogateBuilder) {
+	b.sp, b.cfg = src.sp, src.cfg
+	b.n, b.nGood, b.nBad = src.n, src.nGood, src.nBad
+	b.sorted = append(b.sorted[:0], src.sorted...)
+	b.goodMask = append(b.goodMask[:0], src.goodMask...)
+	b.goodCounts = copyCounts(b.goodCounts, src.goodCounts)
+	b.badCounts = copyCounts(b.badCounts, src.badCounts)
+}
+
+// copyCounts copies per-dimension category counts into dst's buffers,
+// keeping the nil entries of continuous dimensions.
+func copyCounts(dst, src [][]float64) [][]float64 {
+	if len(dst) != len(src) {
+		dst = make([][]float64, len(src))
+	}
+	for d, c := range src {
+		if c == nil {
+			dst[d] = nil
+			continue
+		}
+		dst[d] = append(dst[d][:0], c...)
+	}
+	return dst
+}
+
+// insertValue adds k copies of v to the sorted multiset of folded
+// values. Each copy lands at the first index holding a value >= v, so
+// one call with k copies leaves the slice as k calls with one would.
+func (b *surrogateBuilder) insertValue(v float64, k int) {
+	i := sort.SearchFloat64s(b.sorted, v)
+	n := len(b.sorted)
+	b.sorted = append(b.sorted, make([]float64, k)...)
+	copy(b.sorted[i+k:], b.sorted[i:n])
+	for j := i; j < i+k; j++ {
+		b.sorted[j] = v
+	}
+}
+
+// flip re-partitions rows, the first len(rows) folded rows, at a moved
+// threshold: a row whose membership changed (good↔bad) moves its
+// counts to the other partition. Callers flip the rows already folded
+// before adding new ones. The scan indexes rows rather than ranging
+// over copies: it reads one field of every observation on every fit.
+func (b *surrogateBuilder) flip(rows []Observation, threshold float64) {
+	for i := range rows {
+		good := rows[i].Value <= threshold
 		if good == b.goodMask[i] {
 			continue
 		}
-		b.count(obs[i].Config, b.goodMask[i], -1)
-		b.count(obs[i].Config, good, +1)
+		b.count(rows[i].Config, b.goodMask[i], -1)
+		b.count(rows[i].Config, good, +1)
 		if good {
 			b.nGood++
 			b.nBad--
@@ -134,26 +215,17 @@ func (b *surrogateBuilder) Fold(h *History) (*Surrogate, error) {
 		}
 		b.goodMask[i] = good
 	}
-	for _, o := range obs[old:] {
-		good := o.Value <= threshold
-		b.goodMask = append(b.goodMask, good)
-		b.count(o.Config, good, +1)
-		if good {
-			b.nGood++
-		} else {
-			b.nBad++
-		}
-	}
-	b.n = len(obs)
-	return b.assemble(h, threshold)
 }
 
-// insertValue adds v to the sorted multiset of observed values.
-func (b *surrogateBuilder) insertValue(v float64) {
-	i := sort.SearchFloat64s(b.sorted, v)
-	b.sorted = append(b.sorted, 0)
-	copy(b.sorted[i+1:], b.sorted[i:])
-	b.sorted[i] = v
+// add folds one new row into the given partition.
+func (b *surrogateBuilder) add(c space.Config, good bool) {
+	b.goodMask = append(b.goodMask, good)
+	b.count(c, good, +1)
+	if good {
+		b.nGood++
+	} else {
+		b.nBad++
+	}
 }
 
 // count applies delta (±1) to every discrete dimension's category
@@ -225,9 +297,14 @@ func (b *surrogateBuilder) density(h *History, dim int, good bool, prior density
 			kde = stats.UniformKDE(p.Lo, p.Hi)
 		} else {
 			points := make([]float64, 0, n)
-			for i, o := range h.Observations()[:len(b.goodMask)] {
+			for i, o := range h.Observations()[:b.n] {
 				if b.goodMask[i] == good {
 					points = append(points, o.Config[dim])
+				}
+			}
+			for j, pe := range h.pend[:len(b.goodMask)-b.n] {
+				if b.goodMask[b.n+j] == good {
+					points = append(points, pe.c[dim])
 				}
 			}
 			kde = stats.NewKDE(points, cfg.Bandwidth)

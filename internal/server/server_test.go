@@ -23,7 +23,7 @@ func testSpace() *space.Space {
 	)
 }
 
-func testSpaceJSON(t *testing.T) []byte {
+func testSpaceJSON(t testing.TB) []byte {
 	t.Helper()
 	data, err := json.Marshal(testSpace())
 	if err != nil {
@@ -37,7 +37,7 @@ func testValue(c space.Config) float64 {
 }
 
 // doJSON posts a request against the handler and decodes the reply.
-func doJSON(t *testing.T, h http.Handler, method, path string, in, out any) int {
+func doJSON(t testing.TB, h http.Handler, method, path string, in, out any) int {
 	t.Helper()
 	var body *bytes.Reader
 	if in != nil {
@@ -69,7 +69,7 @@ func newTestServer(t *testing.T, dir string) (*Server, *Store) {
 	return New(store, nil), store
 }
 
-func createTestSession(t *testing.T, srv *Server, name string, opts httpapi.SessionOptions) string {
+func createTestSession(t testing.TB, srv *Server, name string, opts httpapi.SessionOptions) string {
 	t.Helper()
 	var resp httpapi.CreateSessionResponse
 	code := doJSON(t, srv, "POST", "/v1/sessions", httpapi.CreateSessionRequest{
@@ -83,7 +83,7 @@ func createTestSession(t *testing.T, srv *Server, name string, opts httpapi.Sess
 
 // drive runs the ask/tell loop over HTTP until the session holds
 // budget evaluations.
-func drive(t *testing.T, srv *Server, id string, budget, batch int) {
+func drive(t testing.TB, srv *Server, id string, budget, batch int) {
 	t.Helper()
 	sp := testSpace()
 	for {

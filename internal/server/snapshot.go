@@ -1,11 +1,11 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -109,7 +109,7 @@ func atomicWriteFile(path string, data []byte) error {
 // the current history (hdr supplies the create metadata). It returns
 // the snapshot's size on disk.
 func writeSnapshotFile(path string, hdr journalHeader, h *core.History) (int64, error) {
-	packed := core.PackObservations(h)
+	packed := core.PackObservations(h.Observations())
 	extras, err := json.Marshal(packed.Extras)
 	if err != nil {
 		return 0, err
@@ -147,34 +147,36 @@ func writeSnapshotFile(path string, hdr journalHeader, h *core.History) (int64, 
 
 var crc32cTable = crc32.MakeTable(crc32.Castagnoli)
 
-// readSnapshotFile loads and verifies a .snap file. The returned
-// observations are exactly what was packed — bit-identical configs,
-// values, metrics, and objective vectors.
+// readSnapshotFile loads and verifies a .snap file (see
+// decodeSnapshot).
 func readSnapshotFile(path string) (snapshotHeader, *space.Space, []core.Observation, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return snapshotHeader{}, nil, nil, err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	headLine, err := br.ReadBytes('\n')
-	if err != nil {
-		return snapshotHeader{}, nil, nil, fmt.Errorf("server: snapshot header: %w", err)
+	return decodeSnapshot(data)
+}
+
+// decodeSnapshot parses and verifies the contents of a .snap file. The
+// returned observations are exactly what was packed — bit-identical
+// configs, values, metrics, and objective vectors. Any malformed input
+// is an error, never a panic.
+func decodeSnapshot(data []byte) (snapshotHeader, *space.Space, []core.Observation, error) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return snapshotHeader{}, nil, nil, fmt.Errorf("server: snapshot header: %w", io.ErrUnexpectedEOF)
 	}
 	var hdr snapshotHeader
-	if err := json.Unmarshal(headLine, &hdr); err != nil {
+	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
 		return snapshotHeader{}, nil, nil, fmt.Errorf("server: snapshot header: %w", err)
 	}
 	if hdr.Event != "snapshot" || hdr.Format != snapshotFormat {
 		return snapshotHeader{}, nil, nil, fmt.Errorf("server: not a format-%d snapshot (event %q, format %d)",
 			snapshotFormat, hdr.Event, hdr.Format)
 	}
-	payload, err := readAllRemaining(br)
-	if err != nil {
-		return snapshotHeader{}, nil, nil, fmt.Errorf("server: snapshot payload: %w", err)
-	}
 	// The payload is checksummed byte-exact — no newline trimming: the
 	// binary columns may legitimately end in 0x0a.
+	payload := data[nl+1:]
 	if sum := fmt.Sprintf("%08x", crc32.Checksum(payload, crc32cTable)); sum != hdr.Checksum {
 		return snapshotHeader{}, nil, nil, fmt.Errorf("server: snapshot checksum mismatch (file %s, computed %s)", hdr.Checksum, sum)
 	}
@@ -185,7 +187,7 @@ func readSnapshotFile(path string) (snapshotHeader, *space.Space, []core.Observa
 	// Layout after the header: one JSON line of sparse extras, then the
 	// raw config and value columns, split by the sizes the header and
 	// space imply.
-	nl := bytes.IndexByte(payload, '\n')
+	nl = bytes.IndexByte(payload, '\n')
 	if nl < 0 {
 		return snapshotHeader{}, nil, nil, fmt.Errorf("server: snapshot payload missing extras line")
 	}
@@ -193,24 +195,19 @@ func readSnapshotFile(path string) (snapshotHeader, *space.Space, []core.Observa
 	if err := json.Unmarshal(payload[:nl], &packed.Extras); err != nil {
 		return snapshotHeader{}, nil, nil, fmt.Errorf("server: snapshot extras: %w", err)
 	}
+	// A checksum-valid header can still claim any event count, so the
+	// column size is checked by division: n·(dims+1)·8 can overflow.
 	bin := payload[nl+1:]
-	cb := hdr.Events * sp.NumParams() * 8
-	if len(bin) != cb+hdr.Events*8 {
-		return snapshotHeader{}, nil, nil, fmt.Errorf("server: snapshot columns hold %d bytes, want %d",
-			len(bin), cb+hdr.Events*8)
+	n, row := hdr.Events, 8*(sp.NumParams()+1)
+	if n < 0 || len(bin)%row != 0 || len(bin)/row != n {
+		return snapshotHeader{}, nil, nil, fmt.Errorf("server: snapshot columns hold %d bytes, not %d events of %d parameters",
+			len(bin), n, sp.NumParams())
 	}
+	cb := n * sp.NumParams() * 8
 	packed.Configs, packed.Values = bin[:cb:cb], bin[cb:]
-	obs, err := core.UnpackObservations(sp, packed, hdr.Events)
+	obs, err := core.UnpackObservations(sp, packed, n)
 	if err != nil {
 		return snapshotHeader{}, nil, nil, err
 	}
 	return hdr, sp, obs, nil
-}
-
-func readAllRemaining(br *bufio.Reader) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(br); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,12 +14,14 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/httpapi"
+	"github.com/hpcautotune/hiperbot/internal/space"
 )
 
 // newCompactingServer is newTestServer with explicit persistence
 // behavior (snapshot thresholds, live-session cap).
-func newCompactingServer(t *testing.T, dir string, cfg StoreConfig) (*Server, *Store) {
+func newCompactingServer(t testing.TB, dir string, cfg StoreConfig) (*Server, *Store) {
 	t.Helper()
 	store, err := OpenStoreWithConfig(dir, cfg)
 	if err != nil {
@@ -617,4 +620,74 @@ func TestEvictionRaceStress(t *testing.T) {
 			t.Fatalf("session %s info broken: %+v", id, info)
 		}
 	}
+}
+
+// craftSnapshot returns a .snap file with a valid checksum over an
+// empty extras line and no columns, whose header claims events
+// observations of the given space.
+func craftSnapshot(tb testing.TB, sp *space.Space, events int) []byte {
+	tb.Helper()
+	spaceJSON, err := json.Marshal(sp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payload := []byte("null\n")
+	head, err := json.Marshal(snapshotHeader{
+		Event: "snapshot", Format: snapshotFormat, ID: "crafted", Space: spaceJSON, Events: events,
+		Checksum: fmt.Sprintf("%08x", crc32.Checksum(payload, crc32cTable)),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(append(head, '\n'), payload...)
+}
+
+// FuzzReadSnapshotFile feeds arbitrary file contents to decodeSnapshot,
+// the decoder behind readSnapshotFile. It must never panic, and a file
+// it accepts must hold exactly the columns its observations pack to.
+// The seeds are a snapshot written by a real compaction and three
+// checksum-valid headers whose event counts are negative or overflow
+// the column size.
+func FuzzReadSnapshotFile(f *testing.F) {
+	dir := f.TempDir()
+	srv, store := newCompactingServer(f, dir, StoreConfig{SnapshotEvents: 4})
+	id := createTestSession(f, srv, "fuzz", httpapi.SessionOptions{Seed: 1, InitialSamples: 2})
+	drive(f, srv, id, 10, 2)
+	if err := store.Close(); err != nil {
+		f.Fatal(err)
+	}
+	compacted, err := os.ReadFile(filepath.Join(dir, id+".snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compacted)
+	params := func(n int) *space.Space {
+		ps := make([]space.Param, n)
+		for i := range ps {
+			ps[i] = space.DiscreteInts(string(rune('a'+i)), 0, 1, 2)
+		}
+		return space.New(ps...)
+	}
+	for _, tc := range []struct{ params, events int }{{3, 1 << 59}, {1, 1 << 61}, {1, -1}} {
+		data := craftSnapshot(f, params(tc.params), tc.events)
+		if _, _, _, err := decodeSnapshot(data); err == nil {
+			f.Fatalf("decoded a snapshot claiming %d events of %d parameters with no columns", tc.events, tc.params)
+		}
+		f.Add(data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr, sp, obs, err := decodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		if len(obs) != hdr.Events {
+			t.Fatalf("decoded %d observations from a header claiming %d", len(obs), hdr.Events)
+		}
+		packed := core.PackObservations(obs)
+		cols := append(packed.Configs, packed.Values...)
+		if len(cols) != len(obs)*(sp.NumParams()+1)*8 || !bytes.HasSuffix(data, cols) {
+			t.Fatalf("%d decoded observations re-pack to columns the file does not end with", len(obs))
+		}
+	})
 }
