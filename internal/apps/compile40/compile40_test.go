@@ -3,6 +3,7 @@ package compile40_test
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/hpcautotune/hiperbot/internal/apps/compile40"
 	"github.com/hpcautotune/hiperbot/internal/core"
@@ -167,5 +168,48 @@ func BenchmarkAskGrouped40(b *testing.B) {
 		if _, err := tn.Step(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// askTell40 runs one Ask(k) through the lease layer and tells every
+// pick its compile40 value.
+func askTell40(b *testing.B, at *core.AskTell, k int, now time.Time) {
+	picks, err := at.Ask(k, time.Minute, now)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(picks) != k {
+		b.Fatalf("Ask(%d) returned %d picks", k, len(picks))
+	}
+	for _, c := range picks {
+		if _, err := at.Tell(c, compile40.Evaluate(c)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAskTellFlat40 is BenchmarkAskFlat40 through AskTell: one
+// Ask(1) plus its Tell, so each pick also pays the lease, the pending
+// overlay and the suggestion log that Tuner.Step skips.
+func BenchmarkAskTellFlat40(b *testing.B) {
+	at := core.NewAskTell(benchTuner(b, "sampling", nil))
+	now := time.Unix(0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		askTell40(b, at, 1, now)
+	}
+}
+
+// BenchmarkAskTellFlat40Batch4 is one Ask(4) plus its four Tells: every
+// pick after the first draws against live leases and fits a
+// fantasized surrogate around them.
+func BenchmarkAskTellFlat40Batch4(b *testing.B) {
+	at := core.NewAskTell(benchTuner(b, "sampling", nil))
+	now := time.Unix(0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		askTell40(b, at, 4, now)
 	}
 }

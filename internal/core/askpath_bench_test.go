@@ -362,3 +362,36 @@ func TestFantasizedFitBytesFlat(t *testing.T) {
 		t.Fatalf("a fantasized Fit allocates %d B at 4 000 observations, %d B at 500: the fit does per-observation work", large, small)
 	}
 }
+
+// TestSamplingAllocsPerDraw guards the pool-free ask path against
+// per-draw bookkeeping: with three leases live, a warm Ask(1) plus
+// Tell of the sampling engine at 1 024 candidate draws may allocate at
+// most one more object per extra draw than at 256 — the drawn row
+// itself. Testing a draw against the per-pick set, the history and
+// the live leases allocates nothing.
+func TestSamplingAllocsPerDraw(t *testing.T) {
+	allocs := func(draws int) float64 {
+		sp, obj := gridSpace(8), gridObjective(8)
+		tn, err := core.NewTuner(sp, obj, core.Options{
+			Seed: 7, Engine: "sampling", CandidateSamples: draws, Parallelism: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tn.Run(60); err != nil {
+			t.Fatal(err)
+		}
+		at := core.NewAskTell(tn)
+		now := time.Unix(0, 0)
+		if picks, err := at.Ask(3, time.Minute, now); err != nil || len(picks) != 3 {
+			t.Fatalf("Ask(3) = %d picks, %v", len(picks), err)
+		}
+		askTell(t, at, obj, 1, now) // warm the fantasy builder
+		return testing.AllocsPerRun(50, func() { askTell(t, at, obj, 1, now) })
+	}
+	small, large := allocs(256), allocs(1024)
+	t.Logf("allocations per Ask(1)+Tell with 3 live leases: %.1f at 256 draws, %.1f at 1 024", small, large)
+	if large > small+(1024-256) {
+		t.Fatalf("Ask(1)+Tell allocates %.1f objects at 1 024 draws, %.1f at 256: more than the drawn row per draw", large, small)
+	}
+}

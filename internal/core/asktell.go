@@ -48,46 +48,47 @@ type Lease struct {
 // and releases the matching lease.
 type AskTell struct {
 	t      *Tuner
-	leases map[string]Lease
-	leased LeaseFilter // the live leases as acquisition tests them
+	leased LeaseFilter // the live leases, as acquisition tests them
 	heap   leaseHeap   // expiry-ordered; never holds forever-leases
 	ver    uint64      // monotonic heap-entry version counter
 
-	suggested map[string]bool // every key ever handed out by Ask
-	dups      int64           // re-suggestions of a previously handed-out key
+	suggested configSet // every configuration ever handed out by Ask
+	dups      int64     // re-suggestions of a previously handed-out configuration
 }
 
 // NewAskTell wraps t. The tuner must not be driven through Step/Run
 // concurrently with Ask/Tell.
 func NewAskTell(t *Tuner) *AskTell {
-	a := &AskTell{
+	id := t.history.identity()
+	return &AskTell{
 		t:         t,
-		leases:    make(map[string]Lease),
-		suggested: make(map[string]bool),
+		leased:    LeaseFilter{index: configIndex{id: id}},
+		suggested: configSet{configIndex: configIndex{id: id}},
 	}
-	a.leased = LeaseFilter{sp: t.sp, leases: a.leases}
-	return a
 }
 
-// LeaseFilter is the set of live leases as acquisition tests it: a
-// bitset over the candidate indices of the tuner's pool, so loops over
-// the pool test an index instead of formatting a key per candidate,
-// plus the lease map itself for configurations drawn outside the pool.
-// A nil filter reports nothing leased.
+// LeaseFilter is the set of live leases as acquisition tests it: the
+// leases indexed by configuration identity, for configurations drawn
+// outside the pool, plus a bitset over the candidate indices of the
+// tuner's pool, so loops over the pool test an index. A nil filter
+// reports nothing leased.
 type LeaseFilter struct {
-	sp     *space.Space
-	leases map[string]Lease // live leases by Space.Key, shared with AskTell
-	pool   *Pool            // the pool bits indexes; nil for pool-free tuners
-	bits   []uint64         // leased candidate indices of pool
+	live  []Lease     // the live leases, in no particular order
+	index configIndex // live by configuration identity
+	pool  *Pool       // the pool bits indexes; nil for pool-free tuners
+	bits  []uint64    // leased candidate indices of pool
 }
+
+func (f *LeaseFilter) row(i int) space.Config { return f.live[i].Config }
 
 // Has reports whether configuration c is leased.
 func (f *LeaseFilter) Has(c space.Config) bool {
-	if f == nil {
-		return false
-	}
-	_, ok := f.leases[f.sp.Key(c)]
-	return ok
+	return f != nil && len(c) == f.index.id.arity() && f.has(c, f.index.id.hash(c))
+}
+
+// has is Has for a row of the space's arity whose identity hash is h.
+func (f *LeaseFilter) has(c space.Config, h uint64) bool {
+	return f != nil && f.index.lookup(c, h, f.row) >= 0
 }
 
 // HasIndex reports whether candidate i of the tuner's pool is leased.
@@ -125,7 +126,7 @@ func (f *LeaseFilter) bind(pool *Pool) {
 		return
 	}
 	f.bits = make([]uint64, (pool.Size()+63)/64)
-	for _, l := range f.leases {
+	for _, l := range f.live {
 		f.mark(l.Config, true)
 	}
 }
@@ -135,7 +136,7 @@ func (f *LeaseFilter) bind(pool *Pool) {
 // path runs exactly as a tuner without leases.
 func (a *AskTell) filter() *LeaseFilter {
 	a.leased.bind(a.t.pool)
-	if len(a.leases) == 0 {
+	if len(a.leased.live) == 0 {
 		return nil
 	}
 	return &a.leased
@@ -155,7 +156,7 @@ func (a *AskTell) InitialPhase() bool {
 // now. Each live lease has exactly one pending fantasy in the history.
 func (a *AskTell) Leases(now time.Time) int {
 	a.expire(now)
-	return len(a.leases)
+	return len(a.leased.live)
 }
 
 // DuplicateSuggestions counts configurations Ask handed out more than
@@ -166,7 +167,7 @@ func (a *AskTell) Leases(now time.Time) int {
 func (a *AskTell) DuplicateSuggestions() int64 { return a.dups }
 
 // expire drops every lease whose deadline has passed, popping the
-// expiry-ordered heap instead of walking the lease map: O(e·log n)
+// expiry-ordered heap instead of walking the live leases: O(e·log n)
 // for e expirations, so sessions with thousands of live leases pay
 // nothing on the common no-expiry call. Heap entries orphaned by
 // renewals or releases are skipped via the version check.
@@ -177,54 +178,63 @@ func (a *AskTell) expire(now time.Time) {
 			return
 		}
 		a.heap.pop()
-		l, ok := a.leases[top.key]
-		if !ok || l.ver != top.ver {
+		f := &a.leased
+		i := f.index.scan(top.h, func(i int) bool { return f.live[i].ver == top.ver })
+		if i < 0 {
 			continue // released or renewed since this entry was pushed
 		}
-		delete(a.leases, top.key)
-		a.leased.mark(l.Config, false)
-		a.t.history.RemovePendingKey(top.key)
+		a.release(f.live[i].Config, top.h)
 	}
 }
 
-// lease records one candidate picked for the caller: lease-map entry,
+// lease records one candidate picked for the caller: live lease,
 // expiry-heap entry (finite deadlines only), filter bit, and pending
-// fantasy. It returns the candidate's key.
-func (a *AskTell) lease(c space.Config, deadline time.Time) string {
-	key := a.t.sp.Key(c)
+// fantasy. It returns the lease's copy of the candidate.
+func (a *AskTell) lease(c space.Config, deadline time.Time) space.Config {
+	f := &a.leased
+	c = c.Clone()
+	h := f.index.id.hash(c)
 	a.ver++
-	a.leases[key] = Lease{Config: c.Clone(), Expires: deadline, ver: a.ver}
-	if !deadline.IsZero() {
-		a.heap.push(leaseEntry{at: deadline, key: key, ver: a.ver})
+	l := Lease{Config: c, Expires: deadline, ver: a.ver}
+	if i := f.index.insert(c, h, len(f.live), f.row); i >= 0 {
+		f.live[i] = l
+	} else {
+		f.live = append(f.live, l)
 	}
-	a.leased.mark(c, true)
-	a.t.history.AddPending(c)
-	return key
+	if !deadline.IsZero() {
+		a.heap.push(leaseEntry{at: deadline, h: h, ver: a.ver})
+	}
+	f.mark(c, true)
+	a.t.history.addPending(c, h)
+	return c
 }
 
-// countSuggested records the keys of the picks a caller receives,
-// counting those handed out before as duplicate suggestions.
-func (a *AskTell) countSuggested(keys []string) {
-	for _, key := range keys {
-		if a.suggested[key] {
+// countSuggested records the picks a caller receives (the leases'
+// copies), counting those handed out before as duplicate suggestions.
+func (a *AskTell) countSuggested(picks []space.Config) {
+	for _, c := range picks {
+		if !a.suggested.add(c, a.suggested.id.hash(c)) {
 			a.dups++
-		} else {
-			a.suggested[key] = true
 		}
 	}
 }
 
-// release drops a lease, its filter bit and its pending fantasy (no-op
-// when the key is not leased). The heap entry is left behind for lazy
-// deletion.
-func (a *AskTell) release(key string) {
-	l, ok := a.leases[key]
-	if !ok {
+// release drops the lease of c, whose identity hash is h, with its
+// filter bit and its pending fantasy (no-op when c is not leased). The
+// heap entry is left behind for lazy deletion.
+func (a *AskTell) release(c space.Config, h uint64) {
+	f := &a.leased
+	last := len(f.live) - 1
+	i := f.index.remove(c, h, last, f.row)
+	if i < 0 {
 		return
 	}
-	delete(a.leases, key)
-	a.leased.mark(l.Config, false)
-	a.t.history.RemovePendingKey(key)
+	l := f.live[i]
+	f.live[i] = f.live[last]
+	f.live[last] = Lease{}
+	f.live = f.live[:last]
+	f.mark(l.Config, false)
+	a.t.history.removePending(l.Config, h)
 }
 
 // Ask leases up to k distinct, not-yet-evaluated, not-currently-leased
@@ -251,7 +261,7 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 	if ttl > 0 {
 		deadline = now.Add(ttl)
 	}
-	keys := make([]string, 0, k) // leased by this call
+	leased := make([]space.Config, 0, k) // the leases' copies of this call's picks
 
 	if a.InitialPhase() {
 		picks, err := a.t.SelectInitial(k, a.filter())
@@ -259,9 +269,9 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 			return nil, err
 		}
 		for _, c := range picks {
-			keys = append(keys, a.lease(c, deadline))
+			leased = append(leased, a.lease(c, deadline))
 		}
-		a.countSuggested(keys)
+		a.countSuggested(leased)
 		return picks, nil
 	}
 
@@ -274,8 +284,8 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 		if err != nil {
 			// Roll back this call's leases: candidates never handed out
 			// must not stay fantasized or fenced off.
-			for _, key := range keys {
-				a.release(key)
+			for _, c := range leased {
+				a.release(c, a.leased.index.id.hash(c))
 			}
 			return nil, err
 		}
@@ -283,10 +293,10 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 			break // pool net of leases exhausted
 		}
 		c := batch[0]
-		keys = append(keys, a.lease(c, deadline))
+		leased = append(leased, a.lease(c, deadline))
 		picks = append(picks, c)
 	}
-	a.countSuggested(keys)
+	a.countSuggested(leased)
 	return picks, nil
 }
 
@@ -304,19 +314,23 @@ func (a *AskTell) Renew(configs []space.Config, ttl time.Duration, now time.Time
 	if ttl > 0 {
 		deadline = now.Add(ttl)
 	}
+	f := &a.leased
 	for _, c := range configs {
-		key := a.t.sp.Key(c)
-		l, ok := a.leases[key]
-		if !ok {
+		i, h := -1, uint64(0)
+		if len(c) == f.index.id.arity() {
+			h = f.index.id.hash(c)
+			i = f.index.lookup(c, h, f.row)
+		}
+		if i < 0 {
 			lost = append(lost, c)
 			continue
 		}
 		a.ver++
+		l := &f.live[i]
 		l.Expires = deadline
 		l.ver = a.ver
-		a.leases[key] = l
 		if !deadline.IsZero() {
-			a.heap.push(leaseEntry{at: deadline, key: key, ver: a.ver})
+			a.heap.push(leaseEntry{at: deadline, h: h, ver: a.ver})
 		}
 		renewed++
 	}
@@ -342,24 +356,34 @@ func (a *AskTell) TellObs(obs Observation) (added bool, err error) {
 	if err := a.t.sp.Check(obs.Config); err != nil {
 		return false, err
 	}
-	key := a.t.sp.Key(obs.Config)
-	if a.t.history.Contains(obs.Config) {
-		a.release(key)
+	c := obs.Config
+	h := a.leased.index.id.hash(c)
+	if a.t.history.has(c, h) {
+		a.release(c, h)
 		return false, nil
 	}
 	if err := a.t.ObserveObs(obs); err != nil {
 		return false, err
 	}
-	a.release(key)
+	a.release(c, h)
+	// Once observed, a configuration is never suggested again, so the
+	// suggestion log can share the history's copy instead of keeping
+	// the lease's.
+	if i := a.suggested.lookup(c, h, a.suggested.row); i >= 0 {
+		a.suggested.rows[i] = a.t.history.At(a.t.history.Len() - 1).Config
+	}
 	return true, nil
 }
 
 // leaseEntry is one deadline in the expiry heap. Entries are
 // immutable; renewing or releasing a lease orphans its entry (version
-// mismatch) rather than removing it.
+// mismatch) rather than removing it. An entry names its lease by
+// version, which is unique, and by identity hash, which leads to it
+// in the lease index; it holds no configuration, so an orphaned entry
+// keeps no released lease's row alive.
 type leaseEntry struct {
 	at  time.Time
-	key string
+	h   uint64 // identity hash of the lease's configuration
 	ver uint64
 }
 
@@ -390,7 +414,6 @@ func (h *leaseHeap) pop() leaseEntry {
 	top := h.e[0]
 	last := len(h.e) - 1
 	h.e[0] = h.e[last]
-	h.e[last] = leaseEntry{} // let the key string go
 	h.e = h.e[:last]
 	i := 0
 	for {

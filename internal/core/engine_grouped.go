@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
@@ -493,21 +492,22 @@ func (g *groupSub) sampleTop(a *Acquisition, s *Surrogate, m int) {
 	}
 	g.top = g.top[:0]
 	g.topScores = g.topScores[:0]
-	seen := make(map[string]bool, draws)
-	vals := make([]float64, len(g.dims))
-	var key strings.Builder
+	// The distinct draws are rows of one flat buffer, indexed by the
+	// identity of the group's own (discrete) parameters.
+	w := len(g.dims)
+	seen := newConfigIndex(identity{continuous: make([]bool, w)}, draws)
+	buf := make([]float64, 0, draws*w)
+	row := func(i int) space.Config { return buf[i*w : (i+1)*w] }
 	for i := 0; i < draws; i++ {
-		key.Reset()
-		for vi, d := range g.dims {
-			vals[vi] = s.good[d].sample(a.RNG)
-			key.WriteString(strconv.Itoa(int(vals[vi])))
-			key.WriteByte('|')
+		n := len(buf) / w
+		for _, d := range g.dims {
+			buf = append(buf, s.good[d].sample(a.RNG))
 		}
-		ks := key.String()
-		if seen[ks] {
+		vals := space.Config(buf[n*w:])
+		if seen.insert(vals, seen.id.hash(vals), n, row) >= 0 {
+			buf = buf[:n*w]
 			continue
 		}
-		seen[ks] = true
 		var score float64
 		for vi, d := range g.dims {
 			score += s.good[d].logProb(vals[vi])
@@ -571,16 +571,21 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	// Candidate set: the coordinate-wise argmax composition, the base
 	// with each group's slot swapped for its runner-up sub-assignments,
 	// and joint resamples of the per-group top lists — so the polish
-	// ranking sees both local alternatives and cross-group mixes.
-	var cands []space.Config
-	seen := make(map[string]bool)
+	// ranking sees both local alternatives and cross-group mixes. Each
+	// distinct composition is filtered as it arrives: structural
+	// validity (a cross-group constraint can reject a composition), the
+	// evaluated set, and leased work.
+	draws := polishDraws
+	if k > 1 {
+		draws *= k
+	}
+	seen := newConfigSet(a.History.identity(), draws)
+	var kept []space.Config
 	add := func(c space.Config) {
-		key := a.Space.Key(c)
-		if seen[key] {
-			return
+		h := seen.id.hash(c)
+		if seen.add(c, h) && a.Space.Valid(c) && !a.History.has(c, h) && !a.Leased.has(c, h) {
+			kept = append(kept, c)
 		}
-		seen[key] = true
-		cands = append(cands, c)
 	}
 	base := make(space.Config, a.Space.NumParams())
 	for _, g := range m.subs {
@@ -624,10 +629,6 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 			}
 		}
 	}
-	draws := polishDraws
-	if k > 1 {
-		draws *= k
-	}
 	for i := 0; i < draws; i++ {
 		c := make(space.Config, a.Space.NumParams())
 		for _, g := range m.subs {
@@ -636,15 +637,6 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		add(c)
 	}
 
-	// Filter: structural validity (a cross-group constraint can reject
-	// a composition), the evaluated set, and leased work.
-	kept := cands[:0]
-	for _, c := range cands {
-		if !a.Space.Valid(c) || a.History.Contains(c) || a.Leased.Has(c) {
-			continue
-		}
-		kept = append(kept, c)
-	}
 	// Cross-group polish: rank the composed candidates with the
 	// full-joint score, so inter-group tradeoffs the per-group argmaxes
 	// cannot see settle the final picks.

@@ -57,20 +57,19 @@ func (randomAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		return drawRemaining(a.Pool, a.Leased, k, a.RNG, a.Scratch), nil
 	}
 	const maxTries = 100000
-	var out []space.Config
-	seen := make(map[string]bool, k)
-	for try := 0; try < maxTries && len(out) < k; try++ {
+	id := a.History.identity()
+	out := newConfigSet(id, k)
+	for try := 0; try < maxTries && len(out.rows) < k; try++ {
 		c := a.Space.Sample(a.RNG)
-		if a.History.Contains(c) || seen[a.Space.Key(c)] || a.Leased.Has(c) {
-			continue
+		h := id.hash(c)
+		if !a.History.has(c, h) && !a.Leased.has(c, h) {
+			out.add(c, h)
 		}
-		seen[a.Space.Key(c)] = true
-		out = append(out, c)
 	}
-	if len(out) == 0 {
+	if len(out.rows) == 0 {
 		return nil, fmt.Errorf("core: random acquisition could not draw an unevaluated configuration")
 	}
-	return out, nil
+	return out.rows, nil
 }
 
 // drawRemaining draws up to k distinct candidates uniformly at random

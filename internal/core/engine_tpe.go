@@ -387,9 +387,10 @@ func (proposalAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 func proposeOne(a *Acquisition) ([]space.Config, error) {
 	var best space.Config
 	bestScore := math.Inf(-1)
+	id := a.History.identity()
 	for i := 0; i < a.ProposalCandidates; i++ {
 		c := a.Model.Sample(a.RNG)
-		if a.History.Contains(c) || a.Leased.Has(c) {
+		if h := id.hash(c); a.History.has(c, h) || a.Leased.has(c, h) {
 			continue
 		}
 		if sc := a.Model.Score(c); sc > bestScore {
@@ -412,15 +413,15 @@ func proposeBatch(a *Acquisition, k int) ([]space.Config, error) {
 		score float64
 	}
 	var cands []scored
-	seen := make(map[string]bool)
 	draws := a.ProposalCandidates * k
+	seen := newConfigIndex(a.History.identity(), draws)
+	row := func(i int) space.Config { return cands[i].c }
 	for i := 0; i < draws; i++ {
 		c := a.Model.Sample(a.RNG)
-		key := a.Space.Key(c)
-		if a.History.Contains(c) || seen[key] || a.Leased.Has(c) {
+		h := seen.id.hash(c)
+		if a.History.has(c, h) || a.Leased.has(c, h) || seen.insert(c, h, len(cands), row) >= 0 {
 			continue
 		}
-		seen[key] = true
 		cands = append(cands, scored{c: c, score: a.Model.Score(c)})
 	}
 	sort.Slice(cands, func(x, y int) bool { return cands[x].score > cands[y].score })

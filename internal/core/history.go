@@ -50,16 +50,15 @@ type Observation struct {
 type History struct {
 	sp   *space.Space
 	obs  []Observation
-	seen map[string]bool
-	best int    // index of the best observation, -1 when empty
-	gen  uint64 // bumped on every Add; see Generation
+	seen configIndex // obs by configuration identity
+	best int         // index of the best observation, -1 when empty
+	gen  uint64      // bumped on every Add; see Generation
 
 	// Pending-observation overlay (see pending.go): in-flight
 	// configurations fantasized into fits under the constant-liar
-	// policy, keyed separately from the observed set.
-	pend     []pendingEntry
-	pendIdx  map[string]int // key → index into pend
-	pendHash uint64         // order-independent digest; 0 when empty
+	// policy, indexed separately from the observed set.
+	pend     configSet
+	pendHash uint64 // order-independent digest; 0 when empty
 	liar     LiarPolicy
 
 	fant     *History // cached fantasized view (Fantasized)
@@ -69,7 +68,8 @@ type History struct {
 
 // NewHistory creates an empty history over the given space.
 func NewHistory(sp *space.Space) *History {
-	return &History{sp: sp, seen: make(map[string]bool), best: -1}
+	id := newIdentity(sp)
+	return &History{sp: sp, seen: configIndex{id: id}, pend: configSet{configIndex: configIndex{id: id}}, best: -1}
 }
 
 // Add appends an observation. Duplicate configurations are rejected
@@ -85,14 +85,20 @@ func (h *History) Add(c space.Config, v float64) error {
 // included). The config is cloned; best tracking remains scalar — the
 // minimum Value — so single-objective behavior is unchanged and
 // multi-objective sessions track the best scalarized value (the Pareto
-// front is derived from the stored vectors, not from best).
+// front is derived from the stored vectors, not from best). A config
+// whose arity differs from the space's is rejected with an error.
 func (h *History) AddObs(obs Observation) error {
-	key := h.sp.Key(obs.Config)
-	if h.seen[key] {
-		return fmt.Errorf("core: duplicate observation for %s", h.sp.Describe(obs.Config))
+	c := obs.Config
+	if len(c) != h.seen.id.arity() {
+		return fmt.Errorf("core: observation has %d values, space has %d parameters", len(c), h.seen.id.arity())
 	}
-	h.seen[key] = true
-	obs.Config = obs.Config.Clone()
+	if h.seen.insert(c, h.seen.id.hash(c), len(h.obs), h.obsRow) >= 0 {
+		if h.sp.Check(c) != nil {
+			return fmt.Errorf("core: duplicate observation for %v", c) // Describe needs valid levels
+		}
+		return fmt.Errorf("core: duplicate observation for %s", h.sp.Describe(c))
+	}
+	obs.Config = c.Clone()
 	h.obs = append(h.obs, obs)
 	if h.best < 0 || obs.Value < h.obs[h.best].Value {
 		h.best = len(h.obs) - 1
@@ -102,9 +108,9 @@ func (h *History) AddObs(obs Observation) error {
 }
 
 // Grow preallocates room for n further observations: the obs slice
-// capacity and, more importantly, the seen map — growing a string map
-// one insert at a time across 10k resumed observations spends more
-// time rehashing than observing. A no-op for n <= 0.
+// capacity and the identity index's table, so 10k resumed
+// observations neither regrow the slice nor rehash the table. A no-op
+// for n <= 0.
 func (h *History) Grow(n int) {
 	if n <= 0 {
 		return
@@ -114,12 +120,11 @@ func (h *History) Grow(n int) {
 		copy(grown, h.obs)
 		h.obs = grown
 	}
-	seen := make(map[string]bool, len(h.seen)+n)
-	for k, v := range h.seen {
-		seen[k] = v
-	}
-	h.seen = seen
+	h.seen.reserve(n, h.obsRow)
 }
+
+// obsRow is the row accessor of the seen index.
+func (h *History) obsRow(i int) space.Config { return h.obs[i].Config }
 
 // Generation returns a counter that changes whenever the history
 // does. A history is append-only, so equal generations on the same
@@ -145,8 +150,17 @@ func (h *History) Observations() []Observation { return h.obs }
 
 // Contains reports whether the configuration has been evaluated.
 func (h *History) Contains(c space.Config) bool {
-	return h.seen[h.sp.Key(c)]
+	return len(c) == h.seen.id.arity() && h.has(c, h.seen.id.hash(c))
 }
+
+// has is Contains for a row of the space's arity whose identity hash
+// is hc, so a draw hashed once is tested against every index.
+func (h *History) has(c space.Config, hc uint64) bool {
+	return h.seen.lookup(c, hc, h.obsRow) >= 0
+}
+
+// identity is the configuration identity of the history's space.
+func (h *History) identity() identity { return h.seen.id }
 
 // Best returns the best observation so far. It panics on an empty
 // history.

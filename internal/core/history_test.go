@@ -89,3 +89,32 @@ func TestHistoryValuesOrder(t *testing.T) {
 		t.Fatalf("Values = %v", vs)
 	}
 }
+
+// TestHistoryRejectsWrongArity: a row shorter or longer than the space
+// is an error before any state changes, and is never a member.
+func TestHistoryRejectsWrongArity(t *testing.T) {
+	h := NewHistory(histSpace())
+	for _, c := range []space.Config{{1}, {1, 0, 1}, {}} {
+		if err := h.Add(c, 1); err == nil {
+			t.Fatalf("Add(%v) accepted a row of arity %d on a 2-parameter space", c, len(c))
+		}
+		if h.Len() != 0 || h.Generation() != 0 || h.Contains(c) {
+			t.Fatalf("rejected Add(%v) changed the history", c)
+		}
+	}
+	h.MustAdd(space.Config{1, 0}, 1)
+	if h.Contains(space.Config{1}) || h.Contains(space.Config{1, 0, 1}) {
+		t.Fatal("a row of the wrong arity is reported evaluated")
+	}
+}
+
+// TestHistoryDuplicateOutOfRangeErrors: AddObs checks arity only, so a
+// row with an out-of-range level can be stored; repeating it must
+// return the duplicate error, not panic while describing the row.
+func TestHistoryDuplicateOutOfRangeErrors(t *testing.T) {
+	h := NewHistory(histSpace())
+	h.MustAdd(space.Config{-1, 7}, 1)
+	if err := h.Add(space.Config{-1, 7}, 2); err == nil {
+		t.Fatal("duplicate accepted")
+	}
+}

@@ -320,18 +320,26 @@ func TestAskTellLeaseFilterMatchesKeys(t *testing.T) {
 			rng := stats.NewRNG(tc.opts.Seed)
 			now := time.Unix(1_000_000, 0)
 			var out []space.Config // handed out, not yet told
+			liveKeys := func() map[string]bool {
+				keys := make(map[string]bool, len(at.leased.live))
+				for _, l := range at.leased.live {
+					keys[sp.Key(l.Config)] = true
+				}
+				return keys
+			}
 			check := func(step int) {
 				t.Helper()
 				f := at.filter()
-				if (f == nil) != (len(at.leases) == 0) {
-					t.Fatalf("step %d: filter nil = %v with %d live leases", step, f == nil, len(at.leases))
+				leases := liveKeys()
+				if (f == nil) != (len(leases) == 0) {
+					t.Fatalf("step %d: filter nil = %v with %d live leases", step, f == nil, len(leases))
 				}
 				p := at.Tuner().pool
 				if p == nil {
 					return
 				}
 				for i := 0; i < p.Size(); i++ {
-					_, leased := at.leases[sp.Key(p.Candidate(i))]
+					leased := leases[sp.Key(p.Candidate(i))]
 					if f.HasIndex(i) != leased || f.Has(p.Candidate(i)) != leased {
 						t.Fatalf("step %d: candidate %s: filter says %v, lease map %v",
 							step, sp.Key(p.Candidate(i)), f.HasIndex(i), leased)
@@ -342,10 +350,7 @@ func TestAskTellLeaseFilterMatchesKeys(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 4:
 					at.Leases(now) // expire lapsed leases before the snapshot
-					before := make(map[string]bool, len(at.leases))
-					for key := range at.leases {
-						before[key] = true
-					}
+					before := liveKeys()
 					ttls := []time.Duration{0, 3 * time.Second, time.Minute}
 					picks, err := at.Ask(1+rng.Intn(4), ttls[rng.Intn(len(ttls))], now)
 					if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
@@ -79,24 +78,6 @@ func (p LiarPolicy) String() string {
 // error messages.
 func LiarPolicies() []string { return []string{"min", "mean", "max"} }
 
-// pendingEntry is one in-flight configuration of the overlay.
-type pendingEntry struct {
-	key string
-	c   space.Config
-}
-
-// pendingKeyHash hashes one pending key into the order-independent
-// overlay hash. FNV-1a alone XORs poorly over similar keys, so the
-// digest is scrambled through a splitmix64 finalizer.
-func pendingKeyHash(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key)) //nolint:errcheck // fnv never errors
-	z := h.Sum64() + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // SetLiar selects the constant-liar policy used for fantasy values.
 // Changing the policy invalidates the cached fantasized view.
 func (h *History) SetLiar(p LiarPolicy) {
@@ -111,45 +92,42 @@ func (h *History) Liar() LiarPolicy { return h.liar }
 
 // AddPending registers c as in-flight: fitted models will see it as a
 // fantasy observation until it is removed (result reported or lease
-// expired). Already-pending configurations are a no-op.
+// expired). Already-pending configurations, and configurations of the
+// wrong arity, which are never members, are a no-op.
 func (h *History) AddPending(c space.Config) {
-	key := h.sp.Key(c)
-	if _, ok := h.pendIdx[key]; ok {
+	if len(c) == h.pend.id.arity() {
+		h.addPending(c, h.pend.id.hash(c))
+	}
+}
+
+// addPending is AddPending for a row of the space's arity whose
+// identity hash is hc.
+func (h *History) addPending(c space.Config, hc uint64) {
+	if h.pend.has(c, hc) {
 		return
 	}
-	if h.pendIdx == nil {
-		h.pendIdx = make(map[string]int)
-	}
-	h.pendIdx[key] = len(h.pend)
-	h.pend = append(h.pend, pendingEntry{key: key, c: c.Clone()})
-	h.pendHash ^= pendingKeyHash(key)
+	h.pend.add(c.Clone(), hc)
+	h.pendHash ^= hc
 }
 
 // RemovePending drops c from the overlay (no-op when not pending).
 func (h *History) RemovePending(c space.Config) {
-	h.RemovePendingKey(h.sp.Key(c))
+	if len(c) == h.pend.id.arity() {
+		h.removePending(c, h.pend.id.hash(c))
+	}
 }
 
-// RemovePendingKey is RemovePending by space key — the spelling used
-// by lease bookkeeping, which already tracks keys.
-func (h *History) RemovePendingKey(key string) {
-	i, ok := h.pendIdx[key]
-	if !ok {
-		return
+// removePending is RemovePending for a row of the space's arity whose
+// identity hash is hc. The overlay's last configuration takes the
+// removed one's place.
+func (h *History) removePending(c space.Config, hc uint64) {
+	if h.pend.remove(c, hc) {
+		h.pendHash ^= hc
 	}
-	last := len(h.pend) - 1
-	if i != last {
-		h.pend[i] = h.pend[last]
-		h.pendIdx[h.pend[i].key] = i
-	}
-	h.pend[last] = pendingEntry{}
-	h.pend = h.pend[:last]
-	delete(h.pendIdx, key)
-	h.pendHash ^= pendingKeyHash(key)
 }
 
 // PendingLen returns the number of in-flight configurations.
-func (h *History) PendingLen() int { return len(h.pend) }
+func (h *History) PendingLen() int { return len(h.pend.rows) }
 
 // PendingHash returns an order-independent digest of the pending set:
 // 0 when empty, and any add/remove round-trip restores the previous
@@ -166,19 +144,19 @@ func (h *History) PendingHash() uint64 { return h.pendHash }
 // PendingHash) and is a fitting-only view: it shares observation
 // structs with h, has no duplicate tracking, and must not be mutated.
 func (h *History) Fantasized() *History {
-	if len(h.pend) == 0 {
+	if len(h.pend.rows) == 0 {
 		return h
 	}
 	if h.fant != nil && h.fantGen == h.gen && h.fantHash == h.pendHash {
 		return h.fant
 	}
 	f := &History{sp: h.sp, gen: h.gen, best: h.best}
-	f.obs = make([]Observation, 0, len(h.obs)+len(h.pend))
+	f.obs = make([]Observation, 0, len(h.obs)+len(h.pend.rows))
 	f.obs = append(f.obs, h.obs...)
 	lie := h.liarValue()
 	vec := h.liarVector()
-	for _, pe := range h.pend {
-		f.obs = append(f.obs, Observation{Config: pe.c, Value: lie, Objectives: vec})
+	for _, c := range h.pend.rows {
+		f.obs = append(f.obs, Observation{Config: c, Value: lie, Objectives: vec})
 	}
 	if f.best < 0 {
 		f.best = 0 // no real observations yet: any fantasy is "best"

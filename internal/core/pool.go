@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
 )
@@ -13,20 +12,15 @@ import (
 // extracted so every pool-backed engine (TPE ranking, random
 // subset, GEIST's graph propagation) shares one implementation.
 //
-// Candidate identity is the identity of Space.Key — two
-// configurations are the same candidate exactly when their keys are
-// equal — but the pool formats no keys: it hashes each row's
-// per-parameter identity words (see identityWord) into an
-// open-addressed table of candidate indices and resolves collisions
-// by comparing the words.
+// Candidate identity is configuration identity (identity.go): two
+// configurations are the same candidate exactly when their Space.Keys
+// are equal, but the pool formats no keys.
 type Pool struct {
-	sp         *space.Space
-	candidates []space.Config
-	remaining  []int        // candidate indices not yet evaluated
-	pos        []int32      // candidate index → position in remaining, -1 once evaluated
-	slots      []int32      // open-addressed identity table: candidate index + 1, 0 = empty
-	continuous []bool       // per parameter: identity by float bits rather than by level
-	batch      *space.Batch // columnar candidates, built on first use
+	sp        *space.Space
+	set       configSet    // the candidates, indexed by identity
+	remaining []int        // candidate indices not yet evaluated
+	pos       []int32      // candidate index → position in remaining, -1 once evaluated
+	batch     *space.Batch // columnar candidates, built on first use
 }
 
 // NewPool indexes the candidate set. Empty sets, candidates whose
@@ -36,93 +30,29 @@ func NewPool(sp *space.Space, candidates []space.Config) (*Pool, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("core: empty candidate set")
 	}
-	size := 2
-	for size < 2*len(candidates) {
-		size <<= 1
-	}
 	p := &Pool{
-		sp:         sp,
-		candidates: candidates,
-		remaining:  make([]int, len(candidates)),
-		pos:        make([]int32, len(candidates)),
-		slots:      make([]int32, size),
-		continuous: make([]bool, sp.NumParams()),
+		sp:        sp,
+		set:       newConfigSet(newIdentity(sp), len(candidates)),
+		remaining: make([]int, len(candidates)),
+		pos:       make([]int32, len(candidates)),
 	}
-	for d := range p.continuous {
-		p.continuous[d] = sp.Param(d).Kind == space.ContinuousKind
-	}
+	p.set.rows = candidates
+	id := p.set.id
 	for i, c := range candidates {
-		if len(c) != len(p.continuous) {
-			return nil, fmt.Errorf("core: candidate %d has %d values, space has %d parameters", i, len(c), len(p.continuous))
+		if len(c) != id.arity() {
+			return nil, fmt.Errorf("core: candidate %d has %d values, space has %d parameters", i, len(c), id.arity())
 		}
-		slot, found := p.find(c)
-		if found {
-			return nil, fmt.Errorf("core: duplicate candidate %v (candidates %d and %d)", c, p.slots[slot]-1, i)
+		if j := p.set.insert(c, id.hash(c), i, p.set.row); j >= 0 {
+			return nil, fmt.Errorf("core: duplicate candidate %v (candidates %d and %d)", c, j, i)
 		}
-		p.slots[slot] = int32(i) + 1
 		p.remaining[i] = i
 		p.pos[i] = int32(i)
 	}
 	return p, nil
 }
 
-// canonicalNaN stands for every NaN: Space.Key formats them all alike.
-const canonicalNaN = 0x7ff8000000000001
-
-// identityWord maps value v of parameter d to a word that is equal
-// for two values exactly when Space.Key formats them alike: a
-// discrete level is formatted as int(v), and a continuous value with
-// 17 significant digits, which round-trip, so distinct floats
-// (including +0 and -0) get distinct keys and every NaN the same one.
-func (p *Pool) identityWord(d int, v float64) uint64 {
-	if !p.continuous[d] {
-		return uint64(int64(int(v)))
-	}
-	if v != v {
-		return canonicalNaN
-	}
-	return math.Float64bits(v)
-}
-
-// find returns the slot holding c's candidate index (found) or the
-// empty slot where c would be inserted. c must have the space's arity.
-func (p *Pool) find(c space.Config) (slot int, found bool) {
-	h := uint64(0x9e3779b97f4a7c15)
-	for d, v := range c {
-		h = mix64(h ^ p.identityWord(d, v))
-	}
-	mask := len(p.slots) - 1
-	for slot = int(h) & mask; ; slot = (slot + 1) & mask {
-		e := p.slots[slot]
-		if e == 0 {
-			return slot, false
-		}
-		if p.sameCandidate(p.candidates[e-1], c) {
-			return slot, true
-		}
-	}
-}
-
-// sameCandidate compares two rows of the space's arity by identity
-// word.
-func (p *Pool) sameCandidate(a, b space.Config) bool {
-	for d := range a {
-		if p.identityWord(d, a[d]) != p.identityWord(d, b[d]) {
-			return false
-		}
-	}
-	return true
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Size returns the total number of candidates (evaluated or not).
-func (p *Pool) Size() int { return len(p.candidates) }
+func (p *Pool) Size() int { return len(p.set.rows) }
 
 // RemainingCount returns how many candidates are not yet evaluated.
 func (p *Pool) RemainingCount() int { return len(p.remaining) }
@@ -134,23 +64,19 @@ func (p *Pool) RemainingCount() int { return len(p.remaining) }
 func (p *Pool) Remaining() []int { return p.remaining }
 
 // Candidate returns candidate i.
-func (p *Pool) Candidate(i int) space.Config { return p.candidates[i] }
+func (p *Pool) Candidate(i int) space.Config { return p.set.rows[i] }
 
 // Candidates returns the full candidate slice (callers must not
 // mutate it).
-func (p *Pool) Candidates() []space.Config { return p.candidates }
+func (p *Pool) Candidates() []space.Config { return p.set.rows }
 
 // IndexOf returns c's candidate index, or -1 when c is not in the
 // pool.
 func (p *Pool) IndexOf(c space.Config) int {
-	if len(c) != len(p.continuous) {
+	if len(c) != p.set.id.arity() {
 		return -1
 	}
-	slot, found := p.find(c)
-	if !found {
-		return -1
-	}
-	return int(p.slots[slot] - 1)
+	return p.set.lookup(c, p.set.id.hash(c), p.set.row)
 }
 
 // MarkEvaluated removes c from the remaining set in O(1); unknown or
@@ -174,7 +100,7 @@ func (p *Pool) MarkEvaluated(c space.Config) {
 // computed over it are indexed by candidate index.
 func (p *Pool) Batch() (*space.Batch, error) {
 	if p.batch == nil {
-		b, err := space.NewBatch(p.sp, p.candidates)
+		b, err := space.NewBatch(p.sp, p.set.rows)
 		if err != nil {
 			return nil, err
 		}

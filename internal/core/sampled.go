@@ -125,20 +125,19 @@ func (s *SampledPool) draw(exclude func(space.Config) bool) ([]space.Config, err
 	if maxTries < 1<<20 {
 		maxTries = 1 << 20
 	}
-	out := make([]space.Config, 0, s.cap)
-	seen := make(map[string]bool, s.cap)
-	for tries := 0; tries < maxTries && len(out) < s.cap; tries++ {
+	set := newConfigSet(newIdentity(s.sp), s.cap)
+	set.rows = make([]space.Config, 0, s.cap)
+	for tries := 0; tries < maxTries && len(set.rows) < s.cap; tries++ {
 		c := s.sp.FromGridIndex64(randGridIndex(s.rng, grid, ok))
 		if !s.sp.Valid(c) {
 			continue
 		}
-		key := s.sp.Key(c)
-		if seen[key] || (exclude != nil && exclude(c)) {
+		if exclude != nil && exclude(c) {
 			continue
 		}
-		seen[key] = true
-		out = append(out, c)
+		set.add(c, set.id.hash(c))
 	}
+	out := set.rows
 	if len(out) < 2 {
 		return nil, fmt.Errorf("core: sampled pool found only %d valid configurations in %d draws (constraint too restrictive?)", len(out), maxTries)
 	}
@@ -195,18 +194,16 @@ func (samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	if k > 1 {
 		draws *= k
 	}
-	cands := make([]space.Config, 0, draws)
-	seen := make(map[string]bool, draws)
+	cands := newConfigSet(a.History.identity(), draws)
+	cands.rows = make([]space.Config, 0, draws)
 	for i := 0; i < draws; i++ {
 		c := a.Model.Sample(a.RNG)
-		key := a.Space.Key(c)
-		if seen[key] || a.History.Contains(c) || a.Leased.Has(c) {
-			continue
+		h := cands.id.hash(c)
+		if !a.History.has(c, h) && !a.Leased.has(c, h) {
+			cands.add(c, h)
 		}
-		seen[key] = true
-		cands = append(cands, c)
 	}
-	return pickTop(a, cands, k, "sampling acquisition")
+	return pickTop(a, cands.rows, k, "sampling acquisition")
 }
 
 // pickTop is the score-and-pick tail the pool-free acquirers share:
@@ -261,9 +258,10 @@ var errExhausted = errors.New("exhausted the space")
 // exploreUniform draws uniformly until it finds a configuration that
 // is neither evaluated nor leased.
 func exploreUniform(a *Acquisition, who string) ([]space.Config, error) {
+	id := a.History.identity()
 	for try := 0; try < 100000; try++ {
 		c := a.Space.Sample(a.RNG)
-		if !a.History.Contains(c) && !a.Leased.Has(c) {
+		if h := id.hash(c); !a.History.has(c, h) && !a.Leased.has(c, h) {
 			return []space.Config{c}, nil
 		}
 	}

@@ -144,11 +144,11 @@ func (b *surrogateBuilder) foldPending(exact *surrogateBuilder, h *History) (*Su
 	}
 	b.copyFrom(exact)
 	lie := h.liarValue()
-	b.insertValue(lie, len(h.pend))
+	b.insertValue(lie, len(h.pend.rows))
 	threshold := stats.QuantileSorted(b.sorted, b.cfg.Quantile)
 	b.flip(h.Observations(), threshold)
-	for _, pe := range h.pend {
-		b.add(pe.c, lie <= threshold)
+	for _, c := range h.pend.rows {
+		b.add(c, lie <= threshold)
 	}
 	return b.assemble(h, threshold)
 }
@@ -302,9 +302,9 @@ func (b *surrogateBuilder) density(h *History, dim int, good bool, prior density
 					points = append(points, o.Config[dim])
 				}
 			}
-			for j, pe := range h.pend[:len(b.goodMask)-b.n] {
+			for j, c := range h.pend.rows[:len(b.goodMask)-b.n] {
 				if b.goodMask[b.n+j] == good {
-					points = append(points, pe.c[dim])
+					points = append(points, c[dim])
 				}
 			}
 			kde = stats.NewKDE(points, cfg.Bandwidth)

@@ -462,18 +462,16 @@ func (t *Tuner) SelectInitial(k int, leased *LeaseFilter) ([]space.Config, error
 		return drawRemaining(t.pool, leased, k, t.rng, &t.scratch), nil
 	}
 	const maxTries = 100000
-	var out []space.Config
-	seen := make(map[string]bool, k)
-	for try := 0; try < maxTries && len(out) < k; try++ {
+	id := t.history.identity()
+	out := newConfigSet(id, k)
+	for try := 0; try < maxTries && len(out.rows) < k; try++ {
 		c := t.sp.Sample(t.rng)
-		key := t.sp.Key(c)
-		if t.history.Contains(c) || seen[key] || leased.Has(c) {
-			continue
+		h := id.hash(c)
+		if !t.history.has(c, h) && !leased.has(c, h) {
+			out.add(c, h)
 		}
-		seen[key] = true
-		out = append(out, c)
 	}
-	return out, nil
+	return out.rows, nil
 }
 
 // markEvaluated removes c from the candidate pool in O(1).

@@ -172,13 +172,14 @@ func (s *Space) Check(c Config) error {
 	if len(c) != len(s.params) {
 		return fmt.Errorf("space: config has %d entries, space has %d parameters", len(c), len(s.params))
 	}
-	for i, p := range s.params {
+	for i := range s.params {
+		p := &s.params[i] // by pointer: Param is 88 bytes, and Check runs on every draw
 		v := c[i]
 		switch p.Kind {
 		case DiscreteKind:
 			idx := int(v)
-			if float64(idx) != v || idx < 0 || idx >= p.Cardinality() {
-				return fmt.Errorf("space: parameter %q: level %v outside [0,%d)", p.Name, v, p.Cardinality())
+			if float64(idx) != v || idx < 0 || idx >= len(p.Levels) {
+				return fmt.Errorf("space: parameter %q: level %v outside [0,%d)", p.Name, v, len(p.Levels))
 			}
 		case ContinuousKind:
 			if math.IsNaN(v) || v < p.Lo || v > p.Hi {
