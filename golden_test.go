@@ -10,6 +10,7 @@ package hiperbot_test
 // mismatched index.
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/hpcautotune/hiperbot/internal/apps/kripke"
@@ -272,4 +273,47 @@ func TestGoldenGEISTSequence(t *testing.T) {
 		seq = append(seq, ke.IndexOf(h.At(i).Config))
 	}
 	assertGolden(t, "kripke-exec-geist-s5-b60", seq)
+}
+
+// TestGridPoolMatchesRowPoolGeistGP checks the engines that bind pool
+// state at construction: on a full and a constrained grid, geist and
+// gp over an enumerated pool, which keeps no rows, select exactly
+// what they select from the explicit set Candidates: sp.Enumerate().
+// Batches of 5 give geist an exploration pick per batch.
+// internal/core's TestGridPoolMatchesRowPool covers ranking and random.
+func TestGridPoolMatchesRowPoolGeistGP(t *testing.T) {
+	full := space.New(
+		space.DiscreteInts("a", 0, 1, 2, 3, 4),
+		space.DiscreteInts("b", 0, 1, 2, 3, 4),
+		space.DiscreteInts("c", 0, 1, 2, 3),
+		space.DiscreteInts("d", 0, 1, 2, 3),
+	)
+	constrained := full.WithConstraint(func(c space.Config) bool { return int(c[0]+c[1]+c[2]+c[3])%2 == 0 })
+	obj := func(c space.Config) float64 {
+		return (c[0]-3)*(c[0]-3) + (c[1]-1)*(c[1]-1) + 0.5*(c[2]-2)*(c[2]-2) + 0.25*c[3]
+	}
+	for name, sp := range map[string]*space.Space{"full": full, "constrained": constrained} {
+		for _, engine := range []string{"geist", "gp"} {
+			t.Run(name+"/"+engine, func(t *testing.T) {
+				run := func(cands []space.Config) []string {
+					tn, err := core.NewTuner(sp, obj, core.Options{Seed: 8, Engine: engine, Candidates: cands})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := tn.RunBatched(45, 5); err != nil {
+						t.Fatal(err)
+					}
+					var keys []string
+					for _, o := range tn.History().Observations() {
+						keys = append(keys, sp.Key(o.Config))
+					}
+					return keys
+				}
+				grid, rows := run(nil), run(sp.Enumerate())
+				if !reflect.DeepEqual(grid, rows) {
+					t.Fatalf("enumerated pool selected\n%v\nexplicit set\n%v", grid, rows)
+				}
+			})
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/space"
 )
 
@@ -155,6 +156,26 @@ func TestExpertsAreValidAndDocumented(t *testing.T) {
 		}
 		if note == "" {
 			t.Errorf("%s: expert note empty", m.Name())
+		}
+	}
+}
+
+// BenchmarkNewTunerTable builds a ranking tuner over the execution-time
+// table passed as Options.Candidates, as the paper's Kripke runs do
+// for every seed: the explicit set keeps its rows and is indexed in a
+// dense grid table.
+func BenchmarkNewTunerTable(b *testing.B) {
+	tbl := Exec().Table()
+	cands := make([]space.Config, tbl.Len())
+	for i := range cands {
+		cands[i] = tbl.Config(i)
+	}
+	obj := tbl.Objective()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewTuner(tbl.Space, obj, core.Options{Seed: uint64(i), Candidates: cands}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -308,6 +308,48 @@ func BenchmarkNewTuner(b *testing.B) {
 	}
 }
 
+// BenchmarkNewTunerConstrained is BenchmarkNewTuner on the same grid
+// under a constraint that admits half of it (an even level sum): the
+// pool walks the grid once and keeps the 16 384 valid grid indices.
+func BenchmarkNewTunerConstrained(b *testing.B) {
+	sp := gridSpace(8).WithConstraint(func(c space.Config) bool {
+		return int(c[0]+c[1]+c[2]+c[3]+c[4])%2 == 0
+	})
+	obj := gridObjective(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewTuner(sp, obj, core.Options{Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestNewTunerBytesPerCandidate guards the pool build on the
+// 32 768-candidate grid, which a daemon pays on every create and
+// rehydration: NewTuner allocates at most 16 bytes per candidate, the
+// remaining set and the position index.
+func TestNewTunerBytesPerCandidate(t *testing.T) {
+	sp, obj := gridSpace(8), gridObjective(8)
+	const builds = 8
+	tuners := make([]*core.Tuner, builds)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range tuners {
+		tn, err := core.NewTuner(sp, obj, core.Options{Seed: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuners[i] = tn
+	}
+	runtime.ReadMemStats(&after)
+	perCandidate := float64(after.TotalAlloc-before.TotalAlloc) / builds / float64(sp.GridSize())
+	t.Logf("NewTuner allocates %.1f B per candidate", perCandidate)
+	if perCandidate > 16 {
+		t.Fatalf("NewTuner allocates %.1f B per candidate on the %d-candidate grid, want at most 16", perCandidate, sp.GridSize())
+	}
+}
+
 // TestAskTellSerialAllocsFlat guards the serial ask path against
 // per-candidate work: a warm Ask(1) plus Tell allocates about the same
 // on a 1 024-candidate grid as on a 32 768-candidate one. Scoring runs

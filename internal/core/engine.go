@@ -99,7 +99,6 @@ type Scratch struct {
 	rankedOK   bool
 
 	picks []space.Config // reused Propose result buffer
-	avail []int          // reused drawRemaining working set
 }
 
 // invalidate drops every cached value (used when the tuner's model is

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
 	"github.com/hpcautotune/hiperbot/internal/stats"
@@ -54,7 +57,7 @@ type randomAcquirer struct{}
 
 func (randomAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	if a.Pool != nil {
-		return drawRemaining(a.Pool, a.Leased, k, a.RNG, a.Scratch), nil
+		return drawRemaining(a.Pool, a.Leased, k, a.RNG), nil
 	}
 	const maxTries = 100000
 	id := a.History.identity()
@@ -74,30 +77,52 @@ func (randomAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 
 // drawRemaining draws up to k distinct candidates uniformly at random
 // from the pool's remaining set net of leases — the pool path of both
-// the initial phase and the random engine. The working copy of the set
-// lives in s.avail when s is non-nil, so repeated draws reuse it.
-func drawRemaining(p *Pool, leased *LeaseFilter, k int, rng *stats.RNG, s *Scratch) []space.Config {
-	var avail []int
-	if s != nil {
-		avail = s.avail[:0]
-	}
-	for _, idx := range p.Remaining() {
-		if !leased.HasIndex(idx) {
-			avail = append(avail, idx)
-		}
-	}
-	if s != nil {
-		s.avail = avail
-	}
-	if k > len(avail) {
-		k = len(avail)
+// the initial phase and the random engine. It is a partial
+// Fisher–Yates shuffle over the virtual list "remaining minus the
+// leased positions", in O(k·log leases) rather than a copy of the
+// list: a slot is read from the pool's remaining set unless the
+// swap-removal has overwritten it, and only the overwritten slots are
+// recorded. Its picks and RNG draws are those of swap-removal over a
+// filtered copy.
+func drawRemaining(p *Pool, leased *LeaseFilter, k int, rng *stats.RNG) []space.Config {
+	rem := p.Remaining()
+	held := leasedPositions(p, leased)
+	n := len(rem) - len(held)
+	if k > n {
+		k = n
 	}
 	out := make([]space.Config, 0, k)
-	for len(out) < k {
-		pick := rng.Intn(len(avail))
-		out = append(out, p.Candidate(avail[pick]))
-		avail[pick] = avail[len(avail)-1]
-		avail = avail[:len(avail)-1]
+	moved := make(map[int]int, k) // overwritten slot → candidate index
+	at := func(j int) int {
+		if i, ok := moved[j]; ok {
+			return i
+		}
+		// Slot j is remaining position j + t, where t counts the held
+		// positions before it: the held[t] with held[t]-t <= j.
+		return rem[j+sort.Search(len(held), func(t int) bool { return held[t]-t > j })]
+	}
+	for ; len(out) < k; n-- {
+		pick := rng.Intn(n)
+		out = append(out, p.Candidate(at(pick)))
+		moved[pick] = at(n - 1)
 	}
 	return out
+}
+
+// leasedPositions returns the sorted positions in p.Remaining() of the
+// candidates leased is marking.
+func leasedPositions(p *Pool, leased *LeaseFilter) []int {
+	if leased == nil {
+		return nil
+	}
+	var held []int
+	for w, word := range leased.bits {
+		for ; word != 0; word &= word - 1 {
+			if at := p.pos[w<<6|bits.TrailingZeros64(word)]; at >= 0 {
+				held = append(held, int(at))
+			}
+		}
+	}
+	slices.Sort(held)
+	return held
 }

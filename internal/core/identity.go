@@ -16,8 +16,10 @@ import (
 // and configIndex indexes rows by it. Every structure in this package
 // that asks "is this the same configuration?" uses them: the pool, the
 // observed history, the pending overlay, the live leases, the
-// suggestion log and every acquirer's per-pick dedupe. A row of the
-// wrong arity is never a member of any of them.
+// suggestion log and every acquirer's per-pick dedupe. A pool over a
+// small discrete grid asks by grid index instead, which agrees with
+// the identity (pool.go). A row of the wrong arity is never a member
+// of any of them.
 
 // identity maps the values of one space's configurations to identity
 // words: one word per parameter, equal for two values exactly when
@@ -227,8 +229,8 @@ func (x *configIndex) remove(c space.Config, h uint64, last int, row func(int) s
 }
 
 // configSet is a configIndex over rows it keeps itself, in insertion
-// order: the pool's candidates, the pending overlay, the suggestion
-// log, and the distinct draws of one acquisition.
+// order: the pending overlay, the suggestion log, a sampled pool's
+// draw, and the distinct draws of one acquisition.
 type configSet struct {
 	configIndex
 	rows []space.Config

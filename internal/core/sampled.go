@@ -23,10 +23,10 @@ import (
 
 const (
 	// DefaultEnumerateLimit is the grid size above which NewTuner stops
-	// enumerating and switches to large-space mode. 2^20 configurations
-	// is ~8 MB of values plus pool bookkeeping — still comfortable;
-	// every table in the paper is far below it, so paper-scale runs are
-	// byte-for-byte unaffected.
+	// enumerating and switches to large-space mode. An enumerated pool
+	// of 2^20 configurations keeps 12–16 MB of bookkeeping and no rows
+	// (pool.go) — still comfortable; every table in the paper is far
+	// below it, so paper-scale runs are byte-for-byte unaffected.
 	DefaultEnumerateLimit = 1 << 20
 	// DefaultPoolCap is the sampled-pool size when Options.PoolCap is 0.
 	DefaultPoolCap = 4096

@@ -229,14 +229,12 @@ func NewTuner(sp *space.Space, obj Objective, opts Options) (*Tuner, error) {
 			t.sampled = sampled
 			t.pool = sampled.Pool()
 		case cands == nil:
-			cands = sp.Enumerate()
-			fallthrough
+			t.pool, err = newGridPool(sp)
 		default:
-			pool, err := NewPool(sp, cands)
-			if err != nil {
-				return nil, err
-			}
-			t.pool = pool
+			t.pool, err = NewPool(sp, cands)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	model, acquirer, err := spec.New(sp, opts, t.pool)
@@ -459,7 +457,7 @@ func (t *Tuner) SelectInitial(k int, leased *LeaseFilter) ([]space.Config, error
 		return nil, fmt.Errorf("core: SelectInitial with k < 1")
 	}
 	if t.pool != nil {
-		return drawRemaining(t.pool, leased, k, t.rng, &t.scratch), nil
+		return drawRemaining(t.pool, leased, k, t.rng), nil
 	}
 	const maxTries = 100000
 	id := t.history.identity()

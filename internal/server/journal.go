@@ -162,6 +162,9 @@ func (st *Store) loadSessionState(id string) (*sessionState, error) {
 				jpath, tail.size-tail.validLen)
 			out.truncateTo = tail.validLen
 		}
+		if tail.hdr.Base < 0 {
+			return nil, fmt.Errorf("server: journal %s has a negative base %d", jpath, tail.hdr.Base)
+		}
 		if tail.hdr.Base > 0 && !haveSnap {
 			return nil, fmt.Errorf("server: journal %s is a tail (base %d) but snapshot %s is missing", jpath, tail.hdr.Base, spath)
 		}

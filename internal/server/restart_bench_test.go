@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/space"
@@ -93,4 +95,67 @@ func BenchmarkStoreOpenFullReplay10k(b *testing.B) {
 // snapshot (packed binary columns, one JSON line) plus an empty tail.
 func BenchmarkStoreOpenSnapshot10k(b *testing.B) {
 	benchmarkStoreOpen(b, 10_000, StoreConfig{SnapshotEvents: 10_000})
+}
+
+// BenchmarkStoreRehydrateEvict is the durable workload's store cycle
+// in miniature: five journaled sessions on a 5-parameter, 8-level grid
+// (32 768 candidates) under a live cap of four, visited round-robin
+// through WithSession. Every op therefore rehydrates the session it
+// visits (snapshot read, NewTuner, replay), evicts the least recently
+// used one (compaction with its fsyncs), and asks Suggest(8) and
+// observes all eight. The store runs hiperbotd's default durability:
+// interval fsync and 64 KiB group commit. InitialSamples is above any
+// history the loop reaches, so no surrogate is fit. Histories grow by
+// eight observations per visit, so compare runs at one fixed
+// -benchtime, such as 200x.
+func BenchmarkStoreRehydrateEvict(b *testing.B) {
+	const sessions = 5
+	store, err := OpenStoreWithConfig(b.TempDir(), StoreConfig{
+		Fsync:           FsyncInterval,
+		FlushInterval:   100 * time.Millisecond,
+		FlushBytes:      64 << 10,
+		SnapshotEvents:  4096,
+		SnapshotBytes:   4 << 20,
+		MaxLiveSessions: sessions - 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	levels := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	sp := space.New(
+		space.DiscreteInts("a", levels...), space.DiscreteInts("b", levels...), space.DiscreteInts("c", levels...),
+		space.DiscreteInts("d", levels...), space.DiscreteInts("e", levels...),
+	)
+	ids := make([]string, sessions)
+	for i := range ids {
+		s, err := store.CreateWithSpace(fmt.Sprintf("s%d", i), sp, nil,
+			httpapi.SessionOptions{Seed: uint64(i + 1), InitialSamples: sp.GridSize()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = s.ID()
+	}
+	visit := func(s *Session) error {
+		picks, _, err := s.Suggest(8, time.Minute)
+		if err != nil {
+			return err
+		}
+		for _, c := range picks {
+			if _, err := s.Observe(c, c[0]*c[0]+c[1]-c[2]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	before := store.Stats().Rehydrations
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := store.WithSession(ids[i%sessions], visit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(store.Stats().Rehydrations-before)/float64(b.N), "rehydrations/op")
 }

@@ -473,6 +473,41 @@ func TestRestartAfterCrashMidCompaction(t *testing.T) {
 		}
 		drive(t, srv2, id, 8, 1)
 	})
+
+	// Not a crash shape: a tail header whose base is negative. Replaying
+	// it would skip more events than the tail holds and silently drop
+	// acknowledged evaluations, so the store refuses to open.
+	t.Run("negative-base", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := StoreConfig{SnapshotEvents: 10}
+		srv, store := newCompactingServer(t, dir, cfg)
+		id := createTestSession(t, srv, "neg", opts)
+		drive(t, srv, id, 10, 1)
+		drive(t, srv, id, 15, 1)
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		jpath := filepath.Join(dir, id+".jsonl")
+		raw, err := os.ReadFile(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte(`"base":10`)) {
+			t.Fatalf("tail header does not carry base 10:\n%s", raw)
+		}
+		if err := os.WriteFile(jpath, bytes.Replace(raw, []byte(`"base":10`), []byte(`"base":-5`), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store2, err := OpenStoreWithConfig(dir, cfg)
+		if err == nil {
+			n := store2.Stats().Evaluations
+			store2.Close()
+			t.Fatalf("store opened a tail with base -5 (%d of 15 evaluations)", n)
+		}
+		if !strings.Contains(err.Error(), "negative base") {
+			t.Fatalf("open error %q does not name the negative base", err)
+		}
+	})
 }
 
 // TestDeleteRemovesSnapshotFiles checks that deleting a session —
@@ -688,6 +723,94 @@ func FuzzReadSnapshotFile(f *testing.F) {
 		cols := append(packed.Configs, packed.Values...)
 		if len(cols) != len(obs)*(sp.NumParams()+1)*8 || !bytes.HasSuffix(data, cols) {
 			t.Fatalf("%d decoded observations re-pack to columns the file does not end with", len(obs))
+		}
+	})
+}
+
+// FuzzReadJournalFile feeds arbitrary journal contents to
+// readJournalFile and, beside a snapshot of 8 events, to
+// loadSessionState. Reading must never panic, and the intact prefix it
+// reports must end on a line boundary within the file. A state the
+// loader accepts must hold exactly the snapshot's observations plus
+// the tail events the snapshot does not cover: tail event j is
+// observation base+1+j, and the snapshot covers observations 1 to 8,
+// so a tail event numbered 0 or below is one the loader may not drop.
+// The seeds are a real compaction's tail (base 8), the same tail with
+// a negative base, and a never-compacted journal.
+func FuzzReadJournalFile(f *testing.F) {
+	opts := httpapi.SessionOptions{Seed: 1, InitialSamples: 2}
+	dir := f.TempDir()
+	srv, store := newCompactingServer(f, dir, StoreConfig{SnapshotEvents: 4})
+	id := createTestSession(f, srv, "fuzz", opts)
+	drive(f, srv, id, 10, 1)
+	plain := createTestSession(f, srv, "plain", httpapi.SessionOptions{Seed: 2, InitialSamples: 20})
+	drive(f, srv, plain, 3, 1)
+	if err := store.Close(); err != nil {
+		f.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, id+".snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	snapHdr, _, snapObs, err := decodeSnapshot(snap)
+	if err != nil || snapHdr.Events != 8 {
+		f.Fatalf("seed snapshot: %d events, %v", snapHdr.Events, err)
+	}
+	tail, err := os.ReadFile(filepath.Join(dir, id+".jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if !bytes.Contains(tail, []byte(`"base":8`)) {
+		f.Fatalf("seed tail does not carry base 8:\n%s", tail)
+	}
+	full, err := os.ReadFile(filepath.Join(dir, plain+".jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tail)
+	f.Add(bytes.Replace(tail, []byte(`"base":8`), []byte(`"base":-5`), 1))
+	f.Add(full)
+
+	// Inputs run one at a time per process, so they share one directory
+	// holding the snapshot; each input rewrites the journal beside it.
+	work := f.TempDir()
+	if err := os.WriteFile(filepath.Join(work, "s.snap"), snap, 0o644); err != nil {
+		f.Fatal(err)
+	}
+	st := &Store{dir: work, logf: func(string, ...any) {}}
+	jpath := filepath.Join(work, "s.jsonl")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(jpath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jt, err := readJournalFile(jpath)
+		if err != nil {
+			return
+		}
+		if jt.size != int64(len(data)) || jt.validLen > jt.size || (jt.validLen > 0 && data[jt.validLen-1] != '\n') {
+			t.Fatalf("intact prefix of %d bytes in a %d-byte file (read size %d) does not end a line", jt.validLen, len(data), jt.size)
+		}
+		state, err := st.loadSessionState("s")
+		if err != nil {
+			return
+		}
+		var replayed []core.RecorderEvent
+		for j, ev := range jt.events {
+			if n := jt.hdr.Base + 1 + j; n < 1 || n > len(snapObs) {
+				replayed = append(replayed, ev)
+			}
+		}
+		if want := len(snapObs) + len(replayed); len(state.obs) != want {
+			t.Fatalf("loaded %d observations from a snapshot of %d and a tail of %d at base %d; want %d",
+				len(state.obs), len(snapObs), len(jt.events), jt.hdr.Base, want)
+		}
+		if !reflect.DeepEqual(state.obs[:len(snapObs)], snapObs) {
+			t.Fatal("loaded observations do not start with the snapshot's")
+		}
+		for j, ev := range replayed {
+			if got := state.obs[len(snapObs)+j].Value; got != ev.Value {
+				t.Fatalf("replayed tail event %d has value %v, journal %v", j, got, ev.Value)
+			}
 		}
 	})
 }

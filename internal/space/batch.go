@@ -25,22 +25,50 @@ type Batch struct {
 // exactly one value per parameter of sp; the configs themselves are
 // not retained.
 func NewBatch(sp *Space, configs []Config) (*Batch, error) {
-	nd := sp.NumParams()
-	b := &Batch{sp: sp, n: len(configs)}
-	b.cols = make([][]float64, nd)
-	backing := make([]float64, nd*len(configs))
-	for d := range b.cols {
-		b.cols[d] = backing[d*len(configs) : (d+1)*len(configs)]
-	}
+	b := newBatch(sp, len(configs))
 	for i, c := range configs {
-		if len(c) != nd {
-			return nil, fmt.Errorf("space: batch config %d has %d values, space has %d parameters", i, len(c), nd)
+		if len(c) != len(b.cols) {
+			return nil, fmt.Errorf("space: batch config %d has %d values, space has %d parameters", i, len(c), len(b.cols))
 		}
 		for d := range b.cols {
 			b.cols[d][i] = c[d]
 		}
 	}
 	return b, nil
+}
+
+// NewGridBatch returns the columnar view of the first n valid
+// configurations of a fully discrete space, in Enumerate's order,
+// filled by one EachRange walk without materializing a row per
+// configuration. It panics when the space has fewer than n valid
+// configurations.
+func NewGridBatch(sp *Space, n int) *Batch {
+	b := newBatch(sp, n)
+	i := 0
+	if n > 0 {
+		sp.Each(func(c Config) bool {
+			for d, v := range c {
+				b.cols[d][i] = v
+			}
+			i++
+			return i < n
+		})
+	}
+	if i < n {
+		panic(fmt.Sprintf("space: NewGridBatch of %d rows over %d valid configurations", n, i))
+	}
+	return b
+}
+
+// newBatch allocates the zeroed columns of an n-row batch.
+func newBatch(sp *Space, n int) *Batch {
+	nd := sp.NumParams()
+	b := &Batch{sp: sp, n: n, cols: make([][]float64, nd)}
+	backing := make([]float64, nd*n)
+	for d := range b.cols {
+		b.cols[d] = backing[d*n : (d+1)*n]
+	}
+	return b
 }
 
 // Len returns the number of configurations in the batch.

@@ -131,6 +131,10 @@ func (s *Space) IndexOf(name string) int {
 // space is finite and the Ranking selection strategy applies.
 func (s *Space) AllDiscrete() bool { return s.discrete }
 
+// Constrained reports whether the space has a validity constraint, so
+// that some grid points may be invalid.
+func (s *Space) Constrained() bool { return s.constraint != nil }
+
 // GridSize64 returns the size of the unconstrained cross product of
 // all discrete levels, with ok=false when the product exceeds 2^62
 // (the indexable range). It panics when the space has continuous
