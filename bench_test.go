@@ -173,12 +173,12 @@ func BenchmarkTunerOverhead(b *testing.B) {
 // metric is the best value found at a fixed budget.
 func BenchmarkAblationSelection(b *testing.B) {
 	tbl := kripke.Exec().Table()
-	for _, strat := range []core.Strategy{core.Ranking, core.Proposal} {
+	for _, strat := range []string{core.Ranking, core.Proposal} {
 		strat := strat
-		b.Run(strat.String(), func(b *testing.B) {
+		b.Run(strat, func(b *testing.B) {
 			var best float64
 			for i := 0; i < b.N; i++ {
-				m := harness.HiPerBOt(harness.HiPerBOtOptions{Strategy: strat})
+				m := harness.HiPerBOt(harness.HiPerBOtOptions{Engine: strat})
 				h, err := m.Run(tbl, 96, uint64(i)+1)
 				if err != nil {
 					b.Fatal(err)

@@ -99,7 +99,7 @@ func main() {
 		quantile   = flag.Float64("quantile", 0.20, "good/bad split quantile α")
 		strategy   = flag.String("strategy", "", "selection engine: "+strings.Join(core.EngineNames(), ", ")+" (default: paper choice)")
 		poolCap    = flag.Int("pool-cap", 0, "sampled candidate pool size on spaces too large to enumerate (0 = default, <0 = disable large-space mode)")
-		candSamp   = flag.Int("candidate-samples", 0, "good-density draws per step of the pool-free sampling engine (0 = default)")
+		candSamp   = flag.Int("candidate-samples", 0, "good-density draws per pick of the pool-free TPE engines: proposal, sampling, grouped, motpe without a pool (0 = the engine's default)")
 		groupsSpec = flag.String("groups", "", "parameter grouping for the grouped engine, \"a,b;c,d\" (empty = auto-propose from importance)")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		importance = flag.Bool("importance", false, "print the parameter-importance ranking")

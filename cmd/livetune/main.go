@@ -164,7 +164,7 @@ func main() {
 		objSpecs  = flag.String("objectives", "", "comma-separated objective specs for a multi-objective session (with -server; e.g. p95_latency_ms,cost) — p95 is the worst rep, cost is worker-seconds")
 		batch     = flag.Int("batch", 4, "candidates leased per suggest call (with -server)")
 		poolCap   = flag.Int("pool-cap", 0, "sampled candidate pool size on spaces too large to enumerate (0 = default, <0 = disable large-space mode)")
-		candSamp  = flag.Int("candidate-samples", 0, "good-density draws per step of the pool-free sampling engine (0 = default)")
+		candSamp  = flag.Int("candidate-samples", 0, "good-density draws per pick of the pool-free TPE engines: proposal, sampling, grouped, motpe without a pool (0 = the engine's default)")
 		liar      = flag.String("liar", "", "constant-liar policy for leased candidates: min, mean, or max (with -server; empty = server default)")
 		groups    = flag.String("groups", "", "parameter grouping for the grouped strategy, \"a,b;c,d\" (empty = auto-propose)")
 	)

@@ -113,8 +113,8 @@ func proposalRun(t *testing.T, m interface {
 	sp := m.Space()
 	var seq []int
 	tn, err := core.NewTuner(sp, m.Evaluate, core.Options{
-		Seed:     seed,
-		Strategy: core.Proposal,
+		Seed:   seed,
+		Engine: core.Proposal,
 		OnStep: func(iter int, obs core.Observation) {
 			seq = append(seq, sp.GridIndex(obs.Config))
 		},

@@ -71,12 +71,10 @@ type (
 	// Observation pairs a configuration with its measured value.
 	Observation = core.Observation
 	// Options configures a Tuner; the zero value reproduces the
-	// paper's setup (20 initial samples, α = 0.20, Ranking strategy).
+	// paper's setup (20 initial samples, α = 0.20, the Ranking engine).
 	Options = core.Options
 	// SurrogateConfig holds the density-model hyperparameters.
 	SurrogateConfig = core.SurrogateConfig
-	// Strategy selects Ranking or Proposal candidate selection.
-	Strategy = core.Strategy
 	// Tuner runs the iterative Bayesian-optimization loop.
 	Tuner = core.Tuner
 	// History is the ordered record of evaluated configurations.
@@ -87,13 +85,16 @@ type (
 	Prior = core.Prior
 )
 
-// Selection strategies (paper §III-D).
+// The paper's two selection rules (§III-D), as engine names for
+// Options.Engine: Options{Engine: hiperbot.Proposal}.
 const (
 	// Ranking scores every not-yet-evaluated candidate exhaustively —
 	// the right choice for finite, discrete HPC parameter spaces.
 	Ranking = core.Ranking
-	// Proposal samples candidates from the good density — required
-	// for continuous parameters.
+	// Proposal draws candidates from the good density and keeps the
+	// best — required for continuous parameters. It is the pool-free
+	// TPE acquirer at 100 draws per pick (Options.CandidateSamples
+	// changes the count).
 	Proposal = core.Proposal
 )
 

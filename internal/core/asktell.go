@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -278,9 +277,6 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 	picks := make([]space.Config, 0, k)
 	for len(picks) < k {
 		batch, err := a.t.SelectBatchFiltered(1, a.filter())
-		if errors.Is(err, errExhausted) {
-			break // nothing left outside the evaluated and leased set
-		}
 		if err != nil {
 			// Roll back this call's leases: candidates never handed out
 			// must not stay fantasized or fenced off.
@@ -290,7 +286,7 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 			return nil, err
 		}
 		if len(batch) == 0 {
-			break // pool net of leases exhausted
+			break // nothing left outside the evaluated and leased set
 		}
 		c := batch[0]
 		leased = append(leased, a.lease(c, deadline))

@@ -15,7 +15,8 @@ import (
 //
 // How a batch is assembled is the engine's Acquirer's business: the
 // ranking acquirer diversifies top-scored candidates by Hamming
-// distance, the proposal acquirer keeps the best distinct pg-samples,
+// distance, the pool-free TPE acquirer (proposal, sampling) keeps the
+// best distinct pg draws, the earliest drawn among equal scores, and
 // GEIST mixes exploitation with uniform exploration. With k = 1 every
 // acquirer reduces to its single-candidate selection.
 

@@ -52,15 +52,14 @@ type Model interface {
 // buffers and generation-keyed caches owned by the driving Tuner;
 // acquirers must work (allocating as needed) when it is nil.
 type Acquisition struct {
-	Space              *space.Space
-	Model              Model
-	History            *History
-	Pool               *Pool
-	RNG                *stats.RNG
-	Parallelism        int
-	ProposalCandidates int
-	CandidateSamples   int
-	Scratch            *Scratch
+	Space            *space.Space
+	Model            Model
+	History          *History
+	Pool             *Pool
+	RNG              *stats.RNG
+	Parallelism      int
+	CandidateSamples int
+	Scratch          *Scratch
 	// Leased, when non-nil, excludes the candidates of live leases
 	// from acquisition on top of the evaluated set — the lease filter
 	// of pending-aware ask/tell. Every acquirer must honor it: loops
@@ -150,8 +149,10 @@ func (a *Acquisition) takePicks(k int) []space.Config {
 }
 
 // Acquirer proposes up to k not-yet-evaluated candidates from a
-// fitted model. A short (or empty) result means the reachable pool is
-// exhausted; an error means acquisition itself failed.
+// fitted model. A short (or empty) result means acquisition found no
+// more configurations outside the evaluated and leased set (for pool
+// engines: the pool net of leases is exhausted); an error means
+// acquisition itself failed.
 type Acquirer interface {
 	Propose(a *Acquisition, k int) ([]space.Config, error)
 }

@@ -557,7 +557,7 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		return nil, fmt.Errorf("core: grouped acquisition before the first fit")
 	}
 	if m.degenerate() {
-		return samplingAcquirer{}.Propose(a, k)
+		return samplingAcquirer{draws: DefaultCandidateSamples}.Propose(a, k)
 	}
 	s := m.flat.current()
 	gen := a.History.Generation()
@@ -640,5 +640,5 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	// Cross-group polish: rank the composed candidates with the
 	// full-joint score, so inter-group tradeoffs the per-group argmaxes
 	// cannot see settle the final picks.
-	return pickTop(a, kept, k, "grouped acquisition")
+	return pickTop(a, kept, k)
 }

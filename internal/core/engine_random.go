@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -56,28 +55,35 @@ func (uniformModel) Importance() []float64 { return nil }
 type randomAcquirer struct{}
 
 func (randomAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
+	return drawUniform(a, k), nil
+}
+
+// drawUniform draws up to k distinct configurations uniformly at
+// random that are neither evaluated nor leased. It is the one uniform
+// draw of the package: the initial phase (Tuner.Step, SelectInitial),
+// the random engine and the pool-free acquirers' fallback all call
+// it. With a pool it draws from the remaining set; without one it
+// rejection-samples the space, giving up after 100 000 draws. A short
+// or empty result means the space is (nearly) exhausted.
+func drawUniform(a *Acquisition, k int) []space.Config {
 	if a.Pool != nil {
-		return drawRemaining(a.Pool, a.Leased, k, a.RNG), nil
+		return drawRemaining(a.Pool, a.Leased, k, a.RNG)
 	}
 	const maxTries = 100000
 	id := a.History.identity()
 	out := newConfigSet(id, k)
 	for try := 0; try < maxTries && len(out.rows) < k; try++ {
 		c := a.Space.Sample(a.RNG)
-		h := id.hash(c)
-		if !a.History.has(c, h) && !a.Leased.has(c, h) {
+		if h := id.hash(c); !a.History.has(c, h) && !a.Leased.has(c, h) {
 			out.add(c, h)
 		}
 	}
-	if len(out.rows) == 0 {
-		return nil, fmt.Errorf("core: random acquisition could not draw an unevaluated configuration")
-	}
-	return out.rows, nil
+	return out.rows
 }
 
 // drawRemaining draws up to k distinct candidates uniformly at random
-// from the pool's remaining set net of leases — the pool path of both
-// the initial phase and the random engine. It is a partial
+// from the pool's remaining set net of leases — drawUniform's pool
+// path. It is a partial
 // Fisher–Yates shuffle over the virtual list "remaining minus the
 // leased positions", in O(k·log leases) rather than a copy of the
 // list: a slot is read from the pool's remaining set unless the

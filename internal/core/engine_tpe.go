@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
@@ -10,25 +9,51 @@ import (
 )
 
 // This file packages the paper's TPE surrogate as engine
-// implementations: the "ranking" engine (score every remaining pool
-// candidate, argmax — §III-D for finite spaces) and the "proposal"
-// engine (sample candidates from pg, keep the best — for continuous
-// or unenumerable spaces). Both share TPEModel; they differ only in
-// the Acquirer.
+// implementations: the Ranking engine (score every remaining pool
+// candidate, argmax — §III-D for finite spaces) and the pool-free
+// acquirer (draw candidates from pg, keep the best — for continuous
+// or unenumerable spaces), registered twice: as Proposal with the
+// paper's 100 draws per pick, and as "sampling" with
+// DefaultCandidateSamples for grids too large to enumerate. All share
+// TPEModel; they differ only in the Acquirer.
+
+// The paper's two selection rules (§III-D), as engine names for
+// Options.Engine.
+const (
+	// Ranking scores every not-yet-evaluated candidate of a finite
+	// pool and picks the argmax: the right choice for the discrete,
+	// finite spaces of HPC applications, and it never selects a
+	// configuration twice.
+	Ranking = "ranking"
+	// Proposal draws candidates from the good density pg(x) and picks
+	// the best-scoring one: the rule for continuous spaces.
+	Proposal = "proposal"
+)
+
+// proposalDraws is the Proposal engine's pg draw count per pick when
+// Options.CandidateSamples is 0.
+const proposalDraws = 100
 
 func init() {
 	RegisterEngine(EngineSpec{
-		Name: "ranking",
+		Name: Ranking,
 		Pool: PoolRequired,
 		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
 			return &TPEModel{cfg: opts.Surrogate}, rankingAcquirer{}, nil
 		},
 	})
 	RegisterEngine(EngineSpec{
-		Name: "proposal",
+		Name: Proposal,
 		Pool: PoolUnused,
 		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
-			return &TPEModel{cfg: opts.Surrogate}, proposalAcquirer{}, nil
+			return &TPEModel{cfg: opts.Surrogate}, ProposalAcquirer(), nil
+		},
+	})
+	RegisterEngine(EngineSpec{
+		Name: "sampling",
+		Pool: PoolUnused,
+		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
+			return &TPEModel{cfg: opts.Surrogate}, samplingAcquirer{draws: DefaultCandidateSamples}, nil
 		},
 	})
 }
@@ -187,12 +212,87 @@ func (m *TPEModel) Surrogate() *Surrogate { return m.s }
 // with a cheap ScoreBatch gets the allocation-free warm path.
 func RankingAcquirer() Acquirer { return rankingAcquirer{} }
 
-// ProposalAcquirer returns the pg-sampling acquirer used by the
-// "proposal" engine — draw candidates from the model's Sample, keep
-// the best-scoring unevaluated ones — for engines registered outside
-// this package that need pool-free acquisition (e.g. the motpe engine
-// on continuous or unenumerable spaces).
-func ProposalAcquirer() Acquirer { return proposalAcquirer{} }
+// ProposalAcquirer returns the pool-free acquirer of the Proposal
+// engine — draw 100 candidates per pick from the model's Sample (or
+// Options.CandidateSamples), keep the best-scoring unevaluated ones —
+// for engines registered outside this package that need pool-free
+// acquisition (e.g. the motpe engine on continuous or unenumerable
+// spaces).
+func ProposalAcquirer() Acquirer { return samplingAcquirer{draws: proposalDraws} }
+
+// samplingAcquirer is pool-free TPE acquisition, the paper's Proposal
+// rule: draw CandidateSamples·k configurations from the fitted good
+// density pg (draws·k when CandidateSamples is 0), deduplicate, drop
+// evaluated and leased ones, score the rest in one columnar ScoreBatch
+// pass — the same hot path ranking uses, so acquisition cost is
+// dominated by the draws — and keep the top k by (score desc, draw
+// order asc). The Proposal and "sampling" engines are this acquirer
+// with different draw counts.
+type samplingAcquirer struct {
+	draws int // pg draws per pick when Acquisition.CandidateSamples is 0
+}
+
+func (s samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
+	draws := a.CandidateSamples
+	if draws <= 0 {
+		draws = s.draws
+	}
+	draws *= k
+	cands := newConfigSet(a.History.identity(), draws)
+	cands.rows = make([]space.Config, 0, draws)
+	for i := 0; i < draws; i++ {
+		c := a.Model.Sample(a.RNG)
+		h := cands.id.hash(c)
+		if !a.History.has(c, h) && !a.Leased.has(c, h) {
+			cands.add(c, h)
+		}
+	}
+	return pickTop(a, cands.rows, k)
+}
+
+// pickTop is the score-and-pick tail the pool-free acquirers share:
+// it scores cands in one ScoreAll pass and keeps the best k by (score
+// desc, index asc). When no candidate is left — every one was
+// evaluated, leased, or invalid, so the good density has collapsed
+// onto known points — it explores with one uniform draw instead, and
+// an empty result means that found nothing either.
+func pickTop(a *Acquisition, cands []space.Config, k int) ([]space.Config, error) {
+	if len(cands) == 0 {
+		return drawUniform(a, 1), nil
+	}
+	batch, err := space.NewBatch(a.Space, cands)
+	if err != nil {
+		return nil, err
+	}
+	scores := ScoreAll(a.Model, batch, a.Parallelism)
+	if k == 1 {
+		best := 0
+		for i := 1; i < len(cands); i++ {
+			if scores[i] > scores[best] {
+				best = i
+			}
+		}
+		return []space.Config{cands[best]}, nil
+	}
+	order := make([]int, len(cands))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(x, y int) bool {
+		if scores[order[x]] != scores[order[y]] {
+			return scores[order[x]] > scores[order[y]]
+		}
+		return order[x] < order[y]
+	})
+	if len(order) > k {
+		order = order[:k]
+	}
+	out := make([]space.Config, len(order))
+	for i, idx := range order {
+		out[i] = cands[idx]
+	}
+	return out, nil
+}
 
 // rankingAcquirer scores every remaining pool candidate and picks the
 // argmax (k = 1) or the top-k diversified by Hamming distance.
@@ -368,71 +468,6 @@ func (r *rankedPool) at(i int) (rankedCandidate, bool) {
 		r.sorted = append(r.sorted, top)
 	}
 	return r.sorted[i], true
-}
-
-// proposalAcquirer draws candidates from the model's good density and
-// keeps the best-scoring unevaluated ones.
-type proposalAcquirer struct{}
-
-func (proposalAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
-	if k == 1 {
-		return proposeOne(a)
-	}
-	return proposeBatch(a, k)
-}
-
-// proposeOne draws ProposalCandidates configurations from pg and
-// returns the best-scoring previously unevaluated one, falling back
-// to uniform exploration when every draw was a duplicate.
-func proposeOne(a *Acquisition) ([]space.Config, error) {
-	var best space.Config
-	bestScore := math.Inf(-1)
-	id := a.History.identity()
-	for i := 0; i < a.ProposalCandidates; i++ {
-		c := a.Model.Sample(a.RNG)
-		if h := id.hash(c); a.History.has(c, h) || a.Leased.has(c, h) {
-			continue
-		}
-		if sc := a.Model.Score(c); sc > bestScore {
-			bestScore = sc
-			best = c
-		}
-	}
-	if best == nil {
-		// Every proposal was a duplicate (tiny discrete space).
-		return exploreUniform(a, "proposal strategy")
-	}
-	return []space.Config{best}, nil
-}
-
-// proposeBatch draws ProposalCandidates*k configurations from pg and
-// keeps the k best distinct unevaluated ones.
-func proposeBatch(a *Acquisition, k int) ([]space.Config, error) {
-	type scored struct {
-		c     space.Config
-		score float64
-	}
-	var cands []scored
-	draws := a.ProposalCandidates * k
-	seen := newConfigIndex(a.History.identity(), draws)
-	row := func(i int) space.Config { return cands[i].c }
-	for i := 0; i < draws; i++ {
-		c := a.Model.Sample(a.RNG)
-		h := seen.id.hash(c)
-		if a.History.has(c, h) || a.Leased.has(c, h) || seen.insert(c, h, len(cands), row) >= 0 {
-			continue
-		}
-		cands = append(cands, scored{c: c, score: a.Model.Score(c)})
-	}
-	sort.Slice(cands, func(x, y int) bool { return cands[x].score > cands[y].score })
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]space.Config, len(cands))
-	for i, sc := range cands {
-		out[i] = sc.c
-	}
-	return out, nil
 }
 
 func containsConfig(set []space.Config, c space.Config) bool {

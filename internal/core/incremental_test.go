@@ -202,7 +202,7 @@ func TestResumeIncrementalFit(t *testing.T) {
 		src.MustAdd(c, rng.Float64()*10)
 	}
 	tn, err := core.NewTuner(sp, func(space.Config) float64 { panic("not evaluated") },
-		core.Options{Seed: 5, Strategy: core.Proposal})
+		core.Options{Seed: 5, Engine: core.Proposal})
 	if err != nil {
 		t.Fatal(err)
 	}

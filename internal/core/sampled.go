@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
 	"github.com/hpcautotune/hiperbot/internal/stats"
@@ -18,8 +16,9 @@ import (
 // SampledPool (a capped, uniform-over-valid sample of the grid), and
 // the default TPE path switches to the "sampling" engine, which needs
 // no pool at all — it draws candidates from the fitted good density
-// pg and ranks them by pg/pb, the original TPE formulation (Watanabe
-// 2023) rather than the exhaustive-scoring variant.
+// pg and ranks them by pg/pb (Proposal's acquirer at a larger draw
+// count, engine_tpe.go), the original TPE formulation (Watanabe 2023)
+// rather than the exhaustive-scoring variant.
 
 const (
 	// DefaultEnumerateLimit is the grid size above which NewTuner stops
@@ -30,8 +29,9 @@ const (
 	DefaultEnumerateLimit = 1 << 20
 	// DefaultPoolCap is the sampled-pool size when Options.PoolCap is 0.
 	DefaultPoolCap = 4096
-	// DefaultCandidateSamples is the per-acquisition good-density draw
-	// count of the "sampling" engine when Options.CandidateSamples is 0.
+	// DefaultCandidateSamples is the good-density draw count per pick
+	// of the "sampling" and "grouped" engines when
+	// Options.CandidateSamples is 0.
 	DefaultCandidateSamples = 1024
 )
 
@@ -165,105 +165,4 @@ func randGridIndex(r *stats.RNG, grid uint64, gridOK bool) uint64 {
 			return v % grid
 		}
 	}
-}
-
-func init() {
-	RegisterEngine(EngineSpec{
-		Name: "sampling",
-		Pool: PoolUnused,
-		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
-			return &TPEModel{cfg: opts.Surrogate}, samplingAcquirer{}, nil
-		},
-	})
-}
-
-// samplingAcquirer is pool-free TPE acquisition: draw
-// CandidateSamples·k configurations from the fitted good density pg,
-// deduplicate, drop evaluated ones, score the rest in one columnar
-// ScoreBatch pass, and keep the top k by (score desc, draw order
-// asc). Unlike the proposal acquirer it scores candidates in batch —
-// the same hot path ranking uses — so acquisition cost is dominated
-// by the draws, not per-row scoring.
-type samplingAcquirer struct{}
-
-func (samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
-	draws := a.CandidateSamples
-	if draws <= 0 {
-		draws = DefaultCandidateSamples
-	}
-	if k > 1 {
-		draws *= k
-	}
-	cands := newConfigSet(a.History.identity(), draws)
-	cands.rows = make([]space.Config, 0, draws)
-	for i := 0; i < draws; i++ {
-		c := a.Model.Sample(a.RNG)
-		h := cands.id.hash(c)
-		if !a.History.has(c, h) && !a.Leased.has(c, h) {
-			cands.add(c, h)
-		}
-	}
-	return pickTop(a, cands.rows, k, "sampling acquisition")
-}
-
-// pickTop is the score-and-pick tail the pool-free acquirers share:
-// it scores cands in one ScoreAll pass and keeps the best k by (score
-// desc, index asc). When no candidate is left — every one was
-// evaluated, leased, or invalid, so the good density has collapsed
-// onto known points — it explores uniformly instead; who names the
-// acquirer in the exhaustion error.
-func pickTop(a *Acquisition, cands []space.Config, k int, who string) ([]space.Config, error) {
-	if len(cands) == 0 {
-		return exploreUniform(a, who)
-	}
-	batch, err := space.NewBatch(a.Space, cands)
-	if err != nil {
-		return nil, err
-	}
-	scores := ScoreAll(a.Model, batch, a.Parallelism)
-	if k == 1 {
-		best := 0
-		for i := 1; i < len(cands); i++ {
-			if scores[i] > scores[best] {
-				best = i
-			}
-		}
-		return []space.Config{cands[best]}, nil
-	}
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		if scores[order[x]] != scores[order[y]] {
-			return scores[order[x]] > scores[order[y]]
-		}
-		return order[x] < order[y]
-	})
-	if len(order) > k {
-		order = order[:k]
-	}
-	out := make([]space.Config, len(order))
-	for i, idx := range order {
-		out[i] = cands[idx]
-	}
-	return out, nil
-}
-
-// errExhausted marks a pool-free acquisition that found no
-// configuration outside the evaluated and leased set. Ask ends its
-// batch short on it, as it does on an exhausted pool; Step reports it.
-var errExhausted = errors.New("exhausted the space")
-
-// exploreUniform draws uniformly until it finds a configuration that
-// is neither evaluated nor leased.
-func exploreUniform(a *Acquisition, who string) ([]space.Config, error) {
-	id := a.History.identity()
-	for try := 0; try < 100000; try++ {
-		c := a.Space.Sample(a.RNG)
-		if h := id.hash(c); !a.History.has(c, h) && !a.Leased.has(c, h) {
-			return []space.Config{c}, nil
-		}
-	}
-	return nil, fmt.Errorf("core: %s %w", who, errExhausted)
 }

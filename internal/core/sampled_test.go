@@ -317,3 +317,54 @@ func TestSamplingBatchGoldenSequence(t *testing.T) {
 		t.Fatalf("sampling k=4 selection sequence drifted\ngot:  %#v\nwant: %#v", keys, want)
 	}
 }
+
+// Frozen Proposal selection sequence at k = 4 on a mixed space,
+// recorded while Proposal still had an acquirer of its own: on
+// continuous draws no two candidates tie, so running Proposal through
+// the sampling acquirer at 100 draws keeps every batch.
+func TestProposalBatchGoldenSequence(t *testing.T) {
+	keys, _ := runBatchKeys(t, leaseTestMixedSpace(), leaseTestValue,
+		Options{Seed: 3, InitialSamples: 10, Engine: Proposal}, 34, 4)
+	want := []string{
+		"3|2.5623240269418428|0|1.6018848795013612", "2|1.5980321158519004|0|2.1467240239165299",
+		"4|0.78041464833462548|3|2.0396286357300513", "3|3.0180304133983169|2|0.33101957877398025",
+		"0|0.46026121506656104|3|2.1255204818883766", "3|2.045338174620829|2|0.16512198698030889",
+		"4|3.9229195809468398|2|2.7203823350271019", "0|1.8826047394776086|0|2.567231587369367",
+		"3|0.85222891679366741|3|2.6129159849164827", "2|2.3222584558623258|1|1.0433217463672233",
+		"3|0.81803828272908508|3|0", "1|0.96779733459619477|3|0",
+		"3|0.65198561135220678|3|0", "3|0.97725338456127364|3|0",
+		"3|0.78732255104914262|3|0", "3|0.77922802751861497|3|0",
+		"3|0.80577073363562057|3|0", "3|0.77477661270764298|3|0",
+		"3|0.80215086401722724|3|0", "3|0.79672057750962666|3|0",
+		"3|0.79567803032412143|3|0", "3|0.79448949492900878|3|0",
+		"3|0.80784768112652006|3|3.8432645911120272e-05", "3|0.8092141046672281|3|0",
+		"3|0.80141270438796741|3|0", "3|0.8012123284162902|3|0",
+		"3|0.80784085798655447|3|0", "3|0.80988601159353102|3|0",
+		"3|0.81004284382282221|3|2.4636153359646604e-07", "1|0.80677005205762309|3|0",
+		"3|0.79783396417863239|1|0", "3|0.82617913234371576|1|1.8583648594129655e-08",
+		"3|0.8366564770527376|1|0", "3|0.83814509876889631|1|1.3474005680158054e-08",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("proposal k=4 selection sequence drifted\ngot:  %#v\nwant: %#v", keys, want)
+	}
+}
+
+// Frozen Proposal selection sequence at k = 4 on a discrete space,
+// where candidates tie: a batch keeps the earliest drawn of equally
+// scored candidates. In the second batch four candidates tie at
+// 2.330795 for the last two slots. Before Proposal shared the
+// sampling acquirer it kept 3|0|2|0 and 3|3|2|1 there (an unstable
+// sort's order); now it keeps 3|2|2|0 and 3|0|2|1.
+func TestProposalBatchTieGoldenSequence(t *testing.T) {
+	keys, _ := runBatchKeys(t, leaseTestSpace(), leaseTestValue,
+		Options{Seed: 1, Engine: Proposal}, 32, 4)
+	want := []string{
+		"3|2|2|1", "3|0|0|1", "4|2|3|3", "4|3|2|3", "0|2|0|0", "2|2|2|1", "2|1|1|3", "3|4|0|3",
+		"2|1|2|0", "1|4|1|1", "0|0|1|2", "1|2|2|2", "4|2|0|2", "4|4|3|0", "3|1|2|3", "3|3|1|3",
+		"2|4|2|3", "2|4|0|2", "2|1|0|3", "1|4|3|2", "2|1|2|1", "3|1|2|1", "3|1|2|0", "2|1|2|3",
+		"0|1|2|1", "0|1|2|0", "3|2|2|0", "3|0|2|1", "3|0|2|0", "3|3|2|1", "3|3|2|0", "3|1|3|1",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("proposal k=4 selection sequence drifted\ngot:  %#v\nwant: %#v", keys, want)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -14,40 +15,9 @@ import (
 // the full application (paper: f(x)). It is assumed expensive.
 type Objective func(space.Config) float64
 
-// Strategy selects how the next candidate is chosen from the
-// surrogate (paper §III-D). It predates the named-engine registry;
-// Options.Engine supersedes it and accepts any registered engine,
-// with Strategy kept as the zero-config spelling of the two TPE
-// engines.
-type Strategy int
-
-const (
-	// Ranking enumerates an exhaustive candidate set, scores every
-	// not-yet-evaluated configuration, and picks the argmax. The right
-	// choice for the discrete, finite spaces of HPC applications; also
-	// guarantees no duplicate selections.
-	Ranking Strategy = iota
-	// Proposal samples candidates from the good density pg(x) and
-	// picks the best-scoring one — the only viable option for
-	// continuous spaces.
-	Proposal
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	switch s {
-	case Ranking:
-		return "ranking"
-	case Proposal:
-		return "proposal"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // Options configures a Tuner. The zero value plus a Seed reproduces
-// the paper's setup: 20 initial samples, α = 0.20, Ranking on finite
-// spaces and Proposal otherwise.
+// the paper's setup: 20 initial samples, α = 0.20, the Ranking engine
+// on finite spaces and Proposal otherwise.
 type Options struct {
 	// InitialSamples seeds H_0 with uniformly random configurations
 	// (paper §III-C step 1; 20 in the paper's experiments).
@@ -55,21 +25,17 @@ type Options struct {
 	// Surrogate carries the density hyperparameters (α, smoothing,
 	// bandwidth, prior).
 	Surrogate SurrogateConfig
-	// Engine names the registered engine driving selection ("ranking",
-	// "proposal", "random", "geist", ...; see RegisterEngine). Empty
-	// falls back to Strategy.
+	// Engine names the registered engine driving selection (Ranking,
+	// Proposal, "sampling", "random", "geist", ...; see
+	// RegisterEngine). Empty picks Ranking, or the pool-free "sampling"
+	// engine on a discrete grid past DefaultEnumerateLimit. Ranking on
+	// a space with continuous parameters and no Candidates runs as
+	// Proposal.
 	Engine string
 	// EngineConfig carries engine-specific configuration to the
 	// engine's factory (e.g. geist.EngineConfig); nil uses the
 	// engine's defaults.
 	EngineConfig any
-	// Strategy picks Ranking or Proposal when Engine is empty. Ignored
-	// (forced to Proposal) when the space has continuous parameters
-	// and no candidate set is given.
-	Strategy Strategy
-	// ProposalCandidates is the number of pg-samples scored per
-	// iteration under the Proposal strategy.
-	ProposalCandidates int
 	// Candidates optionally fixes the candidate pool for pool-backed
 	// engines. When nil, the space is enumerated (requires a fully
 	// discrete space) — unless the grid exceeds DefaultEnumerateLimit,
@@ -83,8 +49,10 @@ type Options struct {
 	// error. Spaces small enough to enumerate are unaffected.
 	PoolCap int
 	// CandidateSamples is the number of good-density draws the
-	// pool-free "sampling" engine scores per acquisition; 0 means
-	// DefaultCandidateSamples.
+	// pool-free TPE acquirer scores per pick (Proposal, "sampling",
+	// grouped's per-group draws, motpe without a pool); 0 keeps the
+	// engine's own count: 100 for Proposal and motpe, and
+	// DefaultCandidateSamples for the others.
 	CandidateSamples int
 	// Groups partitions the parameter space for the "grouped" engine:
 	// each inner slice names the parameters of one group (see
@@ -120,12 +88,6 @@ func (o Options) withDefaults() Options {
 	if o.InitialSamples == 0 {
 		o.InitialSamples = 20
 	}
-	if o.ProposalCandidates == 0 {
-		o.ProposalCandidates = 100
-	}
-	if o.CandidateSamples == 0 {
-		o.CandidateSamples = DefaultCandidateSamples
-	}
 	if o.Parallelism == 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -151,7 +113,6 @@ type Tuner struct {
 	engine    string
 	model     Model
 	acquirer  Acquirer
-	strategy  Strategy
 	iter      int
 
 	acq     Acquisition // reused per-acquisition view (no per-Ask alloc)
@@ -178,18 +139,18 @@ func NewTuner(sp *space.Space, obj Objective, opts Options) (*Tuner, error) {
 	name := strings.ToLower(opts.Engine)
 	defaulted := name == ""
 	if defaulted {
-		name = opts.Strategy.String()
+		name = Ranking
 	}
-	if name == Ranking.String() && opts.Candidates == nil && !sp.AllDiscrete() {
+	if name == Ranking && opts.Candidates == nil && !sp.AllDiscrete() {
 		// Ranking needs a finite candidate set; fall back to Proposal.
-		name = Proposal.String()
+		name = Proposal
 	}
 	// Large-space mode: a discrete grid past the enumerate limit is
 	// never materialized. The default TPE choice becomes the pool-free
 	// "sampling" engine; explicitly requested pool-backed engines get a
 	// capped SampledPool below.
 	largeGrid := opts.Candidates == nil && sp.AllDiscrete() && gridTooLarge(sp)
-	if largeGrid && defaulted && name == Ranking.String() && opts.PoolCap >= 0 {
+	if largeGrid && defaulted && name == Ranking && opts.PoolCap >= 0 {
 		name = "sampling"
 	}
 	spec, ok := LookupEngine(name)
@@ -243,16 +204,6 @@ func NewTuner(sp *space.Space, obj Objective, opts Options) (*Tuner, error) {
 	}
 	t.model = model
 	t.acquirer = acquirer
-	// Legacy strategy view: the two TPE engines report themselves;
-	// other engines are classified by whether they select from a pool.
-	switch {
-	case name == Proposal.String():
-		t.strategy = Proposal
-	case name == Ranking.String() || t.pool != nil:
-		t.strategy = Ranking
-	default:
-		t.strategy = Proposal
-	}
 	return t, nil
 }
 
@@ -265,10 +216,6 @@ func (t *Tuner) Model() Model { return t.model }
 
 // EngineName reports which registered engine drives selection.
 func (t *Tuner) EngineName() string { return t.engine }
-
-// StrategyInUse reports the effective selection strategy (the legacy
-// two-valued view of EngineName).
-func (t *Tuner) StrategyInUse() Strategy { return t.strategy }
 
 // Importance fits the engine's model on the current history and
 // returns its per-parameter importance scores. It returns nil scores
@@ -316,44 +263,42 @@ func (t *Tuner) Best() Observation { return t.history.Best() }
 // the steady-state path allocates nothing.
 func (t *Tuner) acquisition() *Acquisition {
 	t.acq = Acquisition{
-		Space:              t.sp,
-		Model:              t.model,
-		History:            t.history,
-		Pool:               t.pool,
-		RNG:                t.rng,
-		Parallelism:        t.opts.Parallelism,
-		ProposalCandidates: t.opts.ProposalCandidates,
-		CandidateSamples:   t.opts.CandidateSamples,
-		Scratch:            &t.scratch,
+		Space:            t.sp,
+		Model:            t.model,
+		History:          t.history,
+		Pool:             t.pool,
+		RNG:              t.rng,
+		Parallelism:      t.opts.Parallelism,
+		CandidateSamples: t.opts.CandidateSamples,
+		Scratch:          &t.scratch,
 	}
 	return &t.acq
 }
+
+// errExhausted is Step's error when no configuration outside the
+// evaluated set is left to pick.
+var errExhausted = errors.New("no unevaluated configuration remains")
 
 // Step performs exactly one objective evaluation: one of the initial
 // random samples while H is smaller than InitialSamples, afterwards
 // one model-guided selection. It returns the new observation.
 func (t *Tuner) Step() (Observation, error) {
-	var c space.Config
-	switch {
-	case t.history.Len() < t.opts.InitialSamples:
-		var err error
-		c, err = t.sampleInitial()
-		if err != nil {
-			return Observation{}, err
-		}
-	default:
+	var picks []space.Config
+	if t.history.Len() < t.opts.InitialSamples {
+		picks = drawUniform(t.acquisition(), 1)
+	} else {
 		if err := t.model.Fit(t.history); err != nil {
 			return Observation{}, err
 		}
-		picks, err := t.acquirer.Propose(t.acquisition(), 1)
-		if err != nil {
+		var err error
+		if picks, err = t.acquirer.Propose(t.acquisition(), 1); err != nil {
 			return Observation{}, err
 		}
-		if len(picks) == 0 {
-			return Observation{}, fmt.Errorf("core: no unevaluated candidates remain")
-		}
-		c = picks[0]
 	}
+	if len(picks) == 0 {
+		return Observation{}, fmt.Errorf("core: %w", errExhausted)
+	}
+	c := picks[0]
 	obs := Observation{Config: c, Value: t.obj(c)}
 	if t.opts.VectorObjective != nil {
 		obs.Objectives = t.opts.VectorObjective(c)
@@ -425,51 +370,19 @@ func (t *Tuner) RunUntilStall(maxBudget, stallLimit int, tol float64) (Observati
 	return t.history.Best(), nil
 }
 
-// sampleInitial draws a uniformly random configuration that has not
-// been evaluated yet.
-func (t *Tuner) sampleInitial() (space.Config, error) {
-	if t.pool != nil {
-		if t.pool.RemainingCount() == 0 {
-			return nil, fmt.Errorf("core: candidate pool exhausted during initialization")
-		}
-		rem := t.pool.Remaining()
-		pick := t.rng.Intn(len(rem))
-		return t.pool.Candidate(rem[pick]), nil
-	}
-	const maxTries = 100000
-	for try := 0; try < maxTries; try++ {
-		c := t.sp.Sample(t.rng)
-		if !t.history.Contains(c) {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("core: could not draw an unevaluated initial sample")
-}
-
 // SelectInitial returns up to k distinct not-yet-evaluated
 // configurations drawn uniformly at random, without evaluating them —
 // the ask/tell counterpart of the initial sampling phase, for callers
 // (e.g. AskTell) that hand candidates to external workers. leased,
 // when non-nil, excludes the candidates of live leases. A short result
-// means the pool net of leases has fewer than k configurations left.
+// means fewer than k configurations are left net of leases.
 func (t *Tuner) SelectInitial(k int, leased *LeaseFilter) ([]space.Config, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: SelectInitial with k < 1")
 	}
-	if t.pool != nil {
-		return drawRemaining(t.pool, leased, k, t.rng), nil
-	}
-	const maxTries = 100000
-	id := t.history.identity()
-	out := newConfigSet(id, k)
-	for try := 0; try < maxTries && len(out.rows) < k; try++ {
-		c := t.sp.Sample(t.rng)
-		h := id.hash(c)
-		if !t.history.has(c, h) && !leased.has(c, h) {
-			out.add(c, h)
-		}
-	}
-	return out.rows, nil
+	acq := t.acquisition()
+	acq.Leased = leased
+	return drawUniform(acq, k), nil
 }
 
 // markEvaluated removes c from the candidate pool in O(1).

@@ -179,8 +179,8 @@ func TestTunerProposalStrategyOnContinuousSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tn.StrategyInUse() != Proposal {
-		t.Fatalf("continuous space must force Proposal, got %v", tn.StrategyInUse())
+	if tn.EngineName() != Proposal {
+		t.Fatalf("continuous space must force Proposal, got %v", tn.EngineName())
 	}
 	best, err := tn.Run(60)
 	if err != nil {
@@ -193,7 +193,7 @@ func TestTunerProposalStrategyOnContinuousSpace(t *testing.T) {
 
 func TestTunerProposalOnDiscreteSpaceWorks(t *testing.T) {
 	tn, err := NewTuner(quadSpace(), quadObjective, Options{
-		InitialSamples: 8, Seed: 17, Strategy: Proposal,
+		InitialSamples: 8, Seed: 17, Engine: Proposal,
 	})
 	if err != nil {
 		t.Fatal(err)

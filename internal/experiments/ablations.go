@@ -29,10 +29,10 @@ func AblationSelection(cfg Config) ([]AblationRow, error) {
 	tbl := kripke.Exec().Table()
 	_, _, exhaustive := tbl.Best()
 	var rows []AblationRow
-	for _, strat := range []core.Strategy{core.Ranking, core.Proposal} {
+	for _, engine := range []string{core.Ranking, core.Proposal} {
 		var sum float64
 		for rep := 0; rep < cfg.Repetitions; rep++ {
-			m := harness.HiPerBOt(harness.HiPerBOtOptions{Strategy: strat})
+			m := harness.HiPerBOt(harness.HiPerBOtOptions{Engine: engine})
 			h, err := m.Run(tbl, 96, cfg.Seed+uint64(rep)*101)
 			if err != nil {
 				return nil, err
@@ -40,7 +40,7 @@ func AblationSelection(cfg Config) ([]AblationRow, error) {
 			sum += h.Best().Value
 		}
 		rows = append(rows, AblationRow{
-			Variant: strat.String(),
+			Variant: engine,
 			Metric:  "mean best@96 / exhaustive",
 			Value:   sum / float64(cfg.Repetitions) / exhaustive,
 		})

@@ -39,10 +39,11 @@ type Method struct {
 
 // HiPerBOtOptions tweaks the HiPerBOt method wrapper; zero values
 // reproduce the paper's setup (20 initial samples, α = 0.20, Ranking).
+// Engine names the selection engine (core.Ranking, core.Proposal, ...).
 type HiPerBOtOptions struct {
 	InitialSamples int
 	Quantile       float64
-	Strategy       core.Strategy
+	Engine         string
 	Prior          *core.Prior
 	PriorWeight    float64
 }
@@ -65,7 +66,7 @@ func HiPerBOt(opts HiPerBOtOptions) Method {
 					Prior:       opts.Prior,
 					PriorWeight: opts.PriorWeight,
 				},
-				Strategy:   opts.Strategy,
+				Engine:     opts.Engine,
 				Seed:       seed,
 				Candidates: tableCandidates(tbl),
 			}

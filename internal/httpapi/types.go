@@ -12,7 +12,7 @@ import "encoding/json"
 
 // SessionOptions is the JSON-serializable subset of core.Options plus
 // the surrogate hyperparameters. Zero fields take the paper defaults
-// (20 initial samples, α = 0.20, Ranking on finite spaces).
+// (20 initial samples, α = 0.20, ranking on finite spaces).
 type SessionOptions struct {
 	// InitialSamples seeds the history with uniform random draws.
 	InitialSamples int `json:"initial_samples,omitempty"`
@@ -20,20 +20,27 @@ type SessionOptions struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Strategy names the engine driving the session's selection: any
 	// name registered with the daemon's core engine registry —
-	// "ranking", "proposal", "random", and "geist" in the stock
-	// hiperbotd binary. "" picks automatically (ranking on finite
-	// spaces, proposal otherwise). Unknown names fail session
-	// creation with 400.
+	// "ranking", "proposal", "sampling", "grouped", "random", "gp",
+	// "motpe" and "geist" in the stock hiperbotd binary. "" picks
+	// automatically: "motpe" with two or more objectives, otherwise
+	// "ranking" on finite spaces, "sampling" on discrete grids past
+	// 2^20 points, and "proposal" on spaces with continuous
+	// parameters. Unknown names fail session creation with 400.
 	Strategy string `json:"strategy,omitempty"`
-	// ProposalCandidates is the pg-sample count per proposal step.
+	// ProposalCandidates is a deprecated alias of CandidateSamples,
+	// used when candidate_samples is 0. Negative values fail session
+	// creation with 400.
 	ProposalCandidates int `json:"proposal_candidates,omitempty"`
 	// PoolCap bounds the sampled candidate pool on spaces too large
 	// to enumerate: 0 uses the server default, > 0 caps the pool, < 0
 	// disables large-space mode (oversized spaces then fail creation
 	// with 400 for pool-backed strategies). See core.Options.PoolCap.
 	PoolCap int `json:"pool_cap,omitempty"`
-	// CandidateSamples is the per-acquisition good-density draw count
-	// of the pool-free sampling engine (0 = server default).
+	// CandidateSamples is the good-density draw count per pick of the
+	// pool-free TPE engines ("proposal", "sampling", "grouped", and
+	// "motpe" without a pool). 0 keeps the engine's own count: 100 for
+	// proposal and motpe, 1 024 otherwise. Negative values fail
+	// session creation with 400.
 	CandidateSamples int `json:"candidate_samples,omitempty"`
 	// Quantile is α, the good fraction of the history.
 	Quantile float64 `json:"quantile,omitempty"`

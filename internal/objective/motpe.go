@@ -17,7 +17,8 @@ import (
 // good set holds ⌈α·n⌉ members, with the overflowing front tie-broken
 // by ε-dominance coverage (hypervolume-free, deterministic; see
 // ParetoSplit). Acquisition is the stock ranking acquirer on pooled
-// spaces and the pg-sampling proposal acquirer otherwise, so motpe
+// spaces and the Proposal engine's pool-free acquirer otherwise (100
+// pg draws per pick unless Options.CandidateSamples is set), so motpe
 // slots into every Tuner feature (batches, ask/tell, journals).
 //
 // Histories without objective vectors degrade to one-dimensional

@@ -2,6 +2,7 @@ package objective
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/hpcautotune/hiperbot/internal/core"
@@ -236,5 +237,51 @@ func TestMaskedSurrogateMatchesQuantileSplit(t *testing.T) {
 		if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
 			t.Fatalf("Score(%v): masked %v != classic %v", c, a, b)
 		}
+	}
+}
+
+// Frozen motpe selection sequence at k = 4 on a continuous space,
+// where motpe has no pool and acquires through core.ProposalAcquirer.
+// Recorded while that acquirer was still separate from the sampling
+// engine's; continuous draws never tie, so the merge keeps every
+// batch.
+func TestMOTPEPoolFreeBatchGoldenSequence(t *testing.T) {
+	sp := space.New(space.Continuous("x", 0, 1), space.Continuous("y", 0, 1))
+	vec := func(c space.Config) []float64 {
+		return []float64{c[0]*c[0] + c[1]*c[1], (c[0]-1)*(c[0]-1) + (c[1]-1)*(c[1]-1)}
+	}
+	tn, err := core.NewTuner(sp, func(c space.Config) float64 {
+		v := vec(c)
+		return v[0] + v[1]
+	}, core.Options{Engine: "motpe", Seed: 2, InitialSamples: 10, VectorObjective: vec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.RunBatched(30, 4); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, o := range tn.History().Observations() {
+		keys = append(keys, sp.Key(o.Config))
+	}
+	want := []string{
+		"0.10217911323039464|0.72551728851515596", "0.18396244547340834|0.74785222947068564",
+		"0.68614973308891125|0.23598681176496306", "0.64712511411315443|0.21905245755132829",
+		"0.6089375968529448|0.74911356340518631", "0.74560819069706019|0.35545104396746752",
+		"0.68048736862590842|0.96075981764710294", "0.9978931422371724|0.10492930577575299",
+		"0.66860114367346035|0.72487817046008185", "0.39561711639354868|0.39062501738860944",
+		"0.66582108349099423|0.22698746231530517", "0.66844467717882305|0.22746548451160245",
+		"0.6692892355740595|0.22569666380196818", "0.6702352613060848|0.22785525984204286",
+		"0.66883140923428941|0.22741337791565847", "0.66767019659893045|0.22795224426473559",
+		"0.66861575954426722|0.22860514979261448", "0.66764592255652044|0.22848852585989965",
+		"0.66828445914867052|0.22844837897139816", "0.66824093193093725|0.22891421727888142",
+		"0.66782970530366537|0.22800720586926543", "0.66679619666411305|0.2284461860829117",
+		"0.66801768780775472|0.22847214353167472", "0.66750966039750481|0.2287282572426598",
+		"0.66841285759987135|0.22847041111305935", "0.66852332765111611|0.22845948822775494",
+		"0.66733849199457074|0.22823002062499725", "0.66740356601760664|0.2287388461999687",
+		"0.66789041113204006|0.22866627390995387", "0.66699895489728434|0.22795897128947562",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("motpe pool-free k=4 selection sequence drifted\ngot:  %#v\nwant: %#v", keys, want)
 	}
 }

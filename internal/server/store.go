@@ -322,7 +322,14 @@ func (st *Store) loadSession(id string) (*Session, error) {
 	if t, err := time.Parse(time.RFC3339, stt.hdr.CreatedAt); err == nil {
 		created = t
 	}
-	sess, err := st.newSession(stt.hdr.ID, stt.sp, stt.hdr.Options, created, jpath, false, stt.hdr.Space)
+	opts := stt.hdr.Options
+	if opts.ProposalCandidates < 0 {
+		// Creation used to accept a negative proposal_candidates, which
+		// drew nothing from pg: resume such a header with the alias
+		// unset rather than fail the boot.
+		opts.ProposalCandidates = 0
+	}
+	sess, err := st.newSession(stt.hdr.ID, stt.sp, opts, created, jpath, false, stt.hdr.Space)
 	if err != nil {
 		return nil, err
 	}
@@ -916,20 +923,27 @@ func newID() string {
 	return "s-" + hex.EncodeToString(b[:])
 }
 
-// coreOptions translates wire options into core.Options.
+// coreOptions translates wire options into core.Options. The
+// deprecated proposal_candidates is an alias of candidate_samples: it
+// sets CandidateSamples when candidate_samples is 0.
 func coreOptions(o httpapi.SessionOptions) (core.Options, error) {
-	opts := core.Options{
-		InitialSamples:     o.InitialSamples,
-		Seed:               o.Seed,
-		ProposalCandidates: o.ProposalCandidates,
-		PoolCap:            o.PoolCap,
-		CandidateSamples:   o.CandidateSamples,
-		Liar:               o.Liar,
-		Groups:             o.Groups,
-		Surrogate:          coreSurrogateConfig(o),
-	}
 	if o.CandidateSamples < 0 {
 		return core.Options{}, fmt.Errorf("server: candidate_samples must be >= 0, got %d", o.CandidateSamples)
+	}
+	if o.ProposalCandidates < 0 {
+		return core.Options{}, fmt.Errorf("server: proposal_candidates must be >= 0, got %d", o.ProposalCandidates)
+	}
+	opts := core.Options{
+		InitialSamples:   o.InitialSamples,
+		Seed:             o.Seed,
+		PoolCap:          o.PoolCap,
+		CandidateSamples: o.CandidateSamples,
+		Liar:             o.Liar,
+		Groups:           o.Groups,
+		Surrogate:        coreSurrogateConfig(o),
+	}
+	if opts.CandidateSamples == 0 {
+		opts.CandidateSamples = o.ProposalCandidates
 	}
 	// Liar is validated here so a bad policy fails creation with 400
 	// before the journal header is written, like a bad strategy.
