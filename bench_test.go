@@ -484,7 +484,7 @@ func BenchmarkExtendedBaselinesGP(b *testing.B) {
 	for _, m := range []harness.Method{
 		harness.HiPerBOt(harness.HiPerBOtOptions{}),
 		harness.GEIST(harness.GEISTOptions{}),
-		harness.GP(4),
+		harness.GP(),
 	} {
 		m := m
 		b.Run(m.Name, func(b *testing.B) {

@@ -142,10 +142,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	candidates := make([]space.Config, tbl.Len())
-	for i := range candidates {
-		candidates[i] = tbl.Config(i)
-	}
 	var onStep func(int, core.Observation)
 	if *trace {
 		onStep = func(i int, o core.Observation) {
@@ -169,7 +165,7 @@ func main() {
 			}
 		}
 	}
-	opts.Candidates = candidates
+	opts.Candidates = tbl.Configs()
 	opts.OnStep = onStep
 	tn, err := core.NewTuner(tbl.Space, tbl.Objective(), opts)
 	if err != nil {
@@ -328,10 +324,6 @@ func tuneMulti(appName, specs string, opts core.Options, budget int, trace bool)
 		os.Exit(1)
 	}
 	tbl := builtinModels()[appName].Table()
-	candidates := make([]space.Config, tbl.Len())
-	for i := range candidates {
-		candidates[i] = tbl.Config(i)
-	}
 	vector := func(c space.Config) []float64 {
 		vec, err := set.Vector(0, metrics(c))
 		if err != nil {
@@ -349,7 +341,7 @@ func tuneMulti(appName, specs string, opts core.Options, budget int, trace bool)
 	if opts.Engine == "" {
 		opts.Engine = "motpe"
 	}
-	opts.Candidates = candidates
+	opts.Candidates = tbl.Configs()
 	opts.VectorObjective = vector
 	opts.OnStep = onStep
 	tn, err := core.NewTuner(tbl.Space, func(c space.Config) float64 {

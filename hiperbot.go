@@ -250,11 +250,7 @@ func TuneDataset(tbl *Dataset, budget int, opts Options) (*History, error) {
 	if tbl == nil {
 		return nil, fmt.Errorf("hiperbot: nil dataset")
 	}
-	candidates := make([]Config, tbl.Len())
-	for i := range candidates {
-		candidates[i] = tbl.Config(i)
-	}
-	opts.Candidates = candidates
+	opts.Candidates = tbl.Configs()
 	t, err := NewTuner(tbl.Space, tbl.Objective(), opts)
 	if err != nil {
 		return nil, err

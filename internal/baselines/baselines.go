@@ -8,7 +8,6 @@ import (
 
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
-	"github.com/hpcautotune/hiperbot/internal/space"
 	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
@@ -33,15 +32,11 @@ func Random(tbl *dataset.Table, budget int, seed uint64) (*core.History, error) 
 		}
 		return h, nil
 	}
-	candidates := make([]space.Config, tbl.Len())
-	for i := range candidates {
-		candidates[i] = tbl.Config(i)
-	}
 	tn, err := core.NewTuner(tbl.Space, tbl.Objective(), core.Options{
 		Engine:         "random",
 		InitialSamples: 2,
 		Seed:           seed,
-		Candidates:     candidates,
+		Candidates:     tbl.Configs(),
 	})
 	if err != nil {
 		return nil, err

@@ -203,6 +203,33 @@ func TestParseGroups(t *testing.T) {
 	}
 }
 
+// FuzzParseGroups checks the -groups CLI spelling on arbitrary input:
+// no panic, no empty group, no empty or untrimmed name, and the groups
+// re-joined with ',' and ';' parse back to themselves.
+func FuzzParseGroups(f *testing.F) {
+	for _, s := range []string{"", " ; , ", "a,b;c", " a , b ; c,d,e ", ";;a;;", "a\t,\nb", "x,,y;;;z ,", " a ;\x85", "\xff,\xfe;b"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		groups := ParseGroups(s)
+		joined := make([]string, len(groups))
+		for i, g := range groups {
+			if len(g) == 0 {
+				t.Fatalf("ParseGroups(%q) has an empty group: %q", s, groups)
+			}
+			for _, name := range g {
+				if name == "" || name != strings.TrimSpace(name) {
+					t.Fatalf("ParseGroups(%q) has name %q", s, name)
+				}
+			}
+			joined[i] = strings.Join(g, ",")
+		}
+		if back := ParseGroups(strings.Join(joined, ";")); !reflect.DeepEqual(back, groups) {
+			t.Fatalf("ParseGroups(%q) = %q, re-joined parses to %q", s, groups, back)
+		}
+	})
+}
+
 // The grouped engine needs a fully discrete space: per-subspace
 // enumeration has no meaning over a continuum.
 func TestGroupedRejectsContinuousSpace(t *testing.T) {

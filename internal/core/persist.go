@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/hpcautotune/hiperbot/internal/dataset"
 	"github.com/hpcautotune/hiperbot/internal/space"
 )
 
@@ -24,26 +23,32 @@ func (h *History) WriteCSV(w io.Writer) error {
 	configs := make([]space.Config, h.Len())
 	values := make([]float64, h.Len())
 	for i, o := range h.obs {
+		if err := h.sp.Check(o.Config); err != nil {
+			return fmt.Errorf("core: history row %d: %w", i, err)
+		}
 		configs[i] = o.Config
 		values[i] = o.Value
 	}
-	tbl, err := dataset.New("history", "value", h.sp, configs, values)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return tbl.WriteCSV(w)
+	return h.sp.WriteCSV(w, "value", configs, values)
 }
 
 // LoadHistoryCSV reads a history written by WriteCSV, preserving the
-// evaluation order.
+// evaluation order. Every row must be valid in sp and unique, and the
+// file must hold at least one.
 func LoadHistoryCSV(sp *space.Space, r io.Reader) (*History, error) {
-	tbl, err := dataset.ReadCSV("history", sp, r)
+	_, configs, values, err := sp.ReadCSV(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if len(configs) == 0 {
+		return nil, fmt.Errorf("core: history CSV has no rows")
+	}
 	h := NewHistory(sp)
-	for i := 0; i < tbl.Len(); i++ {
-		if err := h.Add(tbl.Config(i), tbl.Value(i)); err != nil {
+	for i, c := range configs {
+		if err := sp.Check(c); err != nil {
+			return nil, fmt.Errorf("core: history row %d: %w", i, err)
+		}
+		if err := h.Add(c, values[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
@@ -37,6 +39,108 @@ func TestHistoryWriteCSVEmpty(t *testing.T) {
 	if err := NewHistory(quadSpace()).WriteCSV(&buf); err == nil {
 		t.Fatal("empty history serialized")
 	}
+}
+
+// csvSpace mixes a discrete and a continuous parameter, so a history
+// CSV can carry a level label that parses and a value out of bounds.
+func csvSpace() *space.Space {
+	return space.New(space.Discrete("layout", "aos", "soa"), space.Continuous("x", 0, 1))
+}
+
+// TestLoadHistoryCSVRejectsInvalidRows: every row the decoder accepts
+// must pass Space.Check and be unique, as Tuner.Resume and History
+// assume; a resumed campaign must not start from x=5 on a [0,1]
+// parameter.
+func TestLoadHistoryCSVRejectsInvalidRows(t *testing.T) {
+	sp := csvSpace()
+	for name, body := range map[string]string{
+		"above bounds":  "aos,5,1\n",
+		"below bounds":  "aos,-0.5,1\n",
+		"NaN value":     "soa,NaN,1\n",
+		"infinite":      "soa,+Inf,1\n",
+		"unknown level": "aosoa,0.5,1\n",
+		"duplicate":     "aos,0.5,1\nsoa,1,2\naos,0.5,3\n",
+		"no rows":       "",
+	} {
+		if h, err := LoadHistoryCSV(sp, strings.NewReader("layout,x,value\n"+body)); err == nil {
+			t.Errorf("%s: accepted %d rows", name, h.Len())
+		}
+	}
+	if _, err := LoadHistoryCSV(sp, strings.NewReader("x,layout,value\n0.5,aos,1\n")); err == nil {
+		t.Error("swapped header accepted")
+	}
+	h, err := LoadHistoryCSV(sp, strings.NewReader("layout,x,value\naos,0,1\nsoa,1,NaN\naos,-0,2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Len() != 3 || !math.IsNaN(h.At(1).Value) || !math.Signbit(h.At(2).Config[1]) {
+		t.Fatalf("valid rows read back as %v", h.Observations())
+	}
+}
+
+// FuzzLoadHistoryCSV checks the decoder hiperbot -resume reads from
+// disk: no panic; every accepted row passes Space.Check and is unique;
+// an accepted history writes, re-reads and writes again bit for bit.
+func FuzzLoadHistoryCSV(f *testing.F) {
+	for _, s := range []string{
+		"layout,x,value\naos,0.5,1\nsoa,1,2\n",
+		"layout,x,value\naos,5,1\n",
+		"layout,x,value\nsoa,NaN,1\n",
+		"layout,x,value\naos,-0,-0\naos,0,+Inf\n",
+		"layout,x,value\naos,0.5,1\naos,0.50,2\n",
+		"layout,x,value\naos,0x1p-2,1e-320\n",
+		"layout,x,value\n\"soa\",1,\"3\"\n",
+		"layout,x\naos,0.5\n",
+		"",
+	} {
+		f.Add(s)
+	}
+	sp := csvSpace()
+	f.Fuzz(func(t *testing.T, text string) {
+		h, err := LoadHistoryCSV(sp, strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		seen := make(map[string]bool, h.Len())
+		for _, o := range h.Observations() {
+			if err := sp.Check(o.Config); err != nil {
+				t.Fatalf("accepted invalid row %v: %v", o.Config, err)
+			}
+			if k := sp.Key(o.Config); seen[k] {
+				t.Fatalf("accepted duplicate row %v", o.Config)
+			} else {
+				seen[k] = true
+			}
+		}
+		var first bytes.Buffer
+		if err := h.WriteCSV(&first); err != nil {
+			t.Fatalf("accepted history does not serialize: %v", err)
+		}
+		back, err := LoadHistoryCSV(sp, bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("serialized history does not re-parse: %v\n%s", err, first.Bytes())
+		}
+		if back.Len() != h.Len() {
+			t.Fatalf("round trip changed %d rows to %d", h.Len(), back.Len())
+		}
+		for i := 0; i < h.Len(); i++ {
+			a, b := h.At(i), back.At(i)
+			same := math.Float64bits(a.Value) == math.Float64bits(b.Value)
+			for d := range a.Config {
+				same = same && math.Float64bits(a.Config[d]) == math.Float64bits(b.Config[d])
+			}
+			if !same {
+				t.Fatalf("row %d: %v=%v read back as %v=%v", i, a.Config, a.Value, b.Config, b.Value)
+			}
+		}
+		var second bytes.Buffer
+		if err := back.WriteCSV(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("second write differs:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestResumeContinuesWithoutRepeats(t *testing.T) {

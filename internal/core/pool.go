@@ -62,7 +62,7 @@ func NewPool(sp *space.Space, candidates []space.Config) (*Pool, error) {
 	p := newPool(sp, len(candidates))
 	p.rows = candidates
 	if cards, grid := gridCards(sp); cards != nil && grid <= 4*len(candidates) {
-		dense, err := denseIndex(cards, grid, candidates)
+		dense, err := denseIndex(sp, cards, grid, candidates)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +78,7 @@ func NewPool(sp *space.Space, candidates []space.Config) (*Pool, error) {
 			return nil, fmt.Errorf("core: candidate %d has %d values, space has %d parameters", i, len(c), id.arity())
 		}
 		if j := p.index.insert(c, id.hash(c), i, p.row); j >= 0 {
-			return nil, duplicateCandidate(c, j, i)
+			return nil, duplicateCandidate(sp, c, j, i)
 		}
 	}
 	return p, nil
@@ -87,7 +87,7 @@ func NewPool(sp *space.Space, candidates []space.Config) (*Pool, error) {
 // denseIndex indexes candidates by grid index: entry g is the index
 // + 1 of the candidate at grid index g, 0 for none. It returns nil
 // when a candidate has the wrong arity or an off-grid level.
-func denseIndex(cards []int, grid int, candidates []space.Config) ([]int32, error) {
+func denseIndex(sp *space.Space, cards []int, grid int, candidates []space.Config) ([]int32, error) {
 	dense := make([]int32, grid)
 	for i, c := range candidates {
 		g := gridIndex(cards, c)
@@ -95,15 +95,20 @@ func denseIndex(cards []int, grid int, candidates []space.Config) ([]int32, erro
 			return nil, nil
 		}
 		if j := dense[g]; j != 0 {
-			return nil, duplicateCandidate(c, int(j)-1, i)
+			return nil, duplicateCandidate(sp, c, int(j)-1, i)
 		}
 		dense[g] = int32(i) + 1
 	}
 	return dense, nil
 }
 
-func duplicateCandidate(c space.Config, j, i int) error {
-	return fmt.Errorf("core: duplicate candidate %v (candidates %d and %d)", c, j, i)
+// duplicateCandidate names c by its labels when they are valid, so a
+// table with a repeated row reports the row as its CSV spells it.
+func duplicateCandidate(sp *space.Space, c space.Config, j, i int) error {
+	if sp.Check(c) != nil {
+		return fmt.Errorf("core: duplicate candidate %v (candidates %d and %d)", c, j, i) // Describe needs valid levels
+	}
+	return fmt.Errorf("core: duplicate candidate %s (candidates %d and %d)", sp.Describe(c), j, i)
 }
 
 // newGridPool returns the pool of every valid configuration of a
@@ -184,16 +189,6 @@ func (p *Pool) Candidate(i int) space.Config {
 	default:
 		return p.sp.FromGridIndex(i)
 	}
-}
-
-// Candidates returns the full candidate slice, materializing an
-// enumerated pool's rows on the first call (callers must not mutate
-// it).
-func (p *Pool) Candidates() []space.Config {
-	if p.rows == nil {
-		p.rows = p.sp.Enumerate()
-	}
-	return p.rows
 }
 
 // IndexOf returns c's candidate index, or -1 when c is not in the

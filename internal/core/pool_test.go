@@ -230,8 +230,10 @@ func fuzzGridPool(t *testing.T, dims int, data []byte) {
 		}
 		ref, _ := newKeyPool(sp, all)
 		checkPool(t, p, ref, poolProbes(all, int(mask)))
-		if got := p.Candidates(); !reflect.DeepEqual(got, all) {
-			t.Fatalf("Candidates() = %v, Enumerate %v", got, all)
+		for i, c := range all {
+			if got := p.Candidate(i); !reflect.DeepEqual(got, c) {
+				t.Fatalf("Candidate(%d) = %v, Enumerate %v", i, got, c)
+			}
 		}
 	}
 

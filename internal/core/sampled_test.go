@@ -93,8 +93,8 @@ func TestLargeSpacePoolRequiredGetsSampledPool(t *testing.T) {
 	if got := tn.SampledPoolSize(); got != 128 {
 		t.Fatalf("sampled pool size = %d, want 128", got)
 	}
-	for _, c := range tn.pool.Candidates() {
-		if !tn.sp.Valid(c) {
+	for i := 0; i < tn.pool.Size(); i++ {
+		if c := tn.pool.Candidate(i); !tn.sp.Valid(c) {
 			t.Fatalf("sampled candidate invalid: %v", c)
 		}
 	}
@@ -150,8 +150,8 @@ func TestRefreshPool(t *testing.T) {
 	if tn.pool == old {
 		t.Fatal("RefreshPool did not swap the pool")
 	}
-	for _, c := range tn.pool.Candidates() {
-		if tn.History().Contains(c) {
+	for i := 0; i < tn.pool.Size(); i++ {
+		if c := tn.pool.Candidate(i); tn.History().Contains(c) {
 			t.Fatalf("refreshed pool contains evaluated config %v", c)
 		}
 	}
@@ -200,7 +200,8 @@ func TestSampledPoolDistinctAndBounded(t *testing.T) {
 		t.Fatalf("pool size = %d, want 512", p.Size())
 	}
 	seen := make(map[string]bool, p.Size())
-	for _, c := range p.Candidates() {
+	for i := 0; i < p.Size(); i++ {
+		c := p.Candidate(i)
 		if !sp.Valid(c) {
 			t.Fatalf("invalid candidate %v", c)
 		}

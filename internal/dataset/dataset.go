@@ -7,12 +7,11 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
+	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/space"
 	"github.com/hpcautotune/hiperbot/internal/stats"
 )
@@ -29,8 +28,8 @@ type Table struct {
 
 	configs []space.Config
 	values  []float64
-	index   map[string]int
-	sorted  []float64 // values sorted ascending, built lazily
+	index   *core.Pool // rows by configuration identity; read-only after New
+	sorted  []float64  // values sorted ascending, built lazily
 }
 
 // New builds a table from parallel slices of configurations and metric
@@ -42,25 +41,16 @@ func New(name, metric string, sp *space.Space, configs []space.Config, values []
 	if len(configs) == 0 {
 		return nil, fmt.Errorf("dataset: empty table %q", name)
 	}
-	t := &Table{
-		Name:    name,
-		Metric:  metric,
-		Space:   sp,
-		configs: configs,
-		values:  values,
-		index:   make(map[string]int, len(configs)),
-	}
 	for i, c := range configs {
 		if err := sp.Check(c); err != nil {
 			return nil, fmt.Errorf("dataset %q row %d: %w", name, i, err)
 		}
-		k := sp.Key(c)
-		if _, dup := t.index[k]; dup {
-			return nil, fmt.Errorf("dataset %q: duplicate configuration %s", name, sp.Describe(c))
-		}
-		t.index[k] = i
 	}
-	return t, nil
+	index, err := core.NewPool(sp, configs)
+	if err != nil {
+		return nil, fmt.Errorf("dataset %q: %w", name, err)
+	}
+	return &Table{Name: name, Metric: metric, Space: sp, configs: configs, values: values, index: index}, nil
 }
 
 // MustNew is New but panics on error; for generators whose output is
@@ -79,6 +69,10 @@ func (t *Table) Len() int { return len(t.configs) }
 // Config returns the i-th configuration (shared; do not mutate).
 func (t *Table) Config(i int) space.Config { return t.configs[i] }
 
+// Configs returns every configuration in row order, e.g. as a tuner's
+// Options.Candidates (shared; do not mutate).
+func (t *Table) Configs() []space.Config { return t.configs }
+
 // Value returns the metric of the i-th configuration.
 func (t *Table) Value(i int) float64 { return t.values[i] }
 
@@ -89,26 +83,15 @@ func (t *Table) Values() []float64 {
 
 // Lookup returns the metric for a configuration and whether it exists.
 func (t *Table) Lookup(c space.Config) (float64, bool) {
-	if len(c) != t.Space.NumParams() {
-		return 0, false
-	}
-	i, ok := t.index[t.Space.Key(c)]
-	if !ok {
+	i := t.index.IndexOf(c)
+	if i < 0 {
 		return 0, false
 	}
 	return t.values[i], true
 }
 
 // IndexOf returns the row of a configuration, or -1 if absent.
-func (t *Table) IndexOf(c space.Config) int {
-	if len(c) != t.Space.NumParams() {
-		return -1
-	}
-	if i, ok := t.index[t.Space.Key(c)]; ok {
-		return i
-	}
-	return -1
-}
+func (t *Table) IndexOf(c space.Config) int { return t.index.IndexOf(c) }
 
 // Objective returns a function evaluating the table as a black-box
 // objective. Evaluating a configuration that is not in the table
@@ -191,85 +174,17 @@ func (t *Table) GoodSetTolerance(gamma float64) []int {
 func (t *Table) Stats() stats.Summary { return stats.Summarize(t.values) }
 
 // WriteCSV writes the table with a header row of parameter names plus
-// the metric name. Discrete parameters are written as level labels.
+// the metric name (space.WriteCSV).
 func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, 0, t.Space.NumParams()+1)
-	for _, p := range t.Space.Params() {
-		header = append(header, p.Name)
-	}
-	header = append(header, t.Metric)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, len(header))
-	for i, c := range t.configs {
-		for j, p := range t.Space.Params() {
-			if p.Kind == space.DiscreteKind {
-				row[j] = p.Level(int(c[j]))
-			} else {
-				row[j] = strconv.FormatFloat(c[j], 'g', 17, 64)
-			}
-		}
-		row[len(row)-1] = strconv.FormatFloat(t.values[i], 'g', 17, 64)
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return t.Space.WriteCSV(w, t.Metric, t.configs, t.values)
 }
 
 // ReadCSV parses a table written by WriteCSV. The space must match the
 // header's parameter columns in order.
 func ReadCSV(name string, sp *space.Space, r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
+	metric, configs, values, err := sp.ReadCSV(r)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: reading header: %w", err)
-	}
-	np := sp.NumParams()
-	if len(header) != np+1 {
-		return nil, fmt.Errorf("dataset: header has %d columns, want %d", len(header), np+1)
-	}
-	for j, p := range sp.Params() {
-		if header[j] != p.Name {
-			return nil, fmt.Errorf("dataset: column %d is %q, want %q", j, header[j], p.Name)
-		}
-	}
-	metric := header[np]
-	var configs []space.Config
-	var values []float64
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		c := make(space.Config, np)
-		for j, p := range sp.Params() {
-			if p.Kind == space.DiscreteKind {
-				idx := p.LevelIndex(rec[j])
-				if idx < 0 {
-					return nil, fmt.Errorf("dataset: line %d: unknown level %q for %q", line, rec[j], p.Name)
-				}
-				c[j] = float64(idx)
-			} else {
-				v, err := strconv.ParseFloat(rec[j], 64)
-				if err != nil {
-					return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-				}
-				c[j] = v
-			}
-		}
-		v, err := strconv.ParseFloat(rec[np], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		configs = append(configs, c)
-		values = append(values, v)
+		return nil, fmt.Errorf("dataset %q: %w", name, err)
 	}
 	return New(name, metric, sp, configs, values)
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
+	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
 func testTable(t *testing.T) *Table {
@@ -203,6 +205,125 @@ func TestIndexOf(t *testing.T) {
 	}
 	if tbl.IndexOf(space.Config{0}) != -1 {
 		t.Fatal("IndexOf should return -1 for unknown")
+	}
+}
+
+// indexTables returns tables that take each index path core.NewPool
+// has for an explicit set: a discrete table within 4x of its grid
+// (dense grid index), a discrete table sparser than that (identity
+// hash), and a table with a continuous parameter (identity hash),
+// which holds both +0 and -0. Rows are in shuffled order.
+func indexTables(t *testing.T) map[string]*Table {
+	t.Helper()
+	r := stats.NewRNG(11)
+	discrete := func(sp *space.Space, n int) ([]space.Config, []float64) {
+		var configs []space.Config
+		var values []float64
+		for _, g := range r.Perm(sp.GridSize())[:n] {
+			configs = append(configs, sp.FromGridIndex(g))
+			values = append(values, float64(g))
+		}
+		return configs, values
+	}
+	dense := space.New(space.DiscreteInts("a", 1, 2, 4, 8), space.Discrete("b", "x", "y", "z"), space.DiscreteInts("c", 0, 1, 2, 3, 4))
+	sparse := space.New(space.DiscreteInts("a", 0, 1, 2, 3, 4, 5, 6, 7), space.DiscreteInts("b", 0, 1, 2, 3, 4, 5, 6, 7), space.DiscreteInts("c", 0, 1, 2, 3, 4, 5, 6, 7))
+	mixed := space.New(space.Discrete("a", "x", "y", "z"), space.Continuous("t", 0, 1))
+	mixedRows := []space.Config{{0, 0}, {0, math.Copysign(0, -1)}, {1, 1}, {2, 0.5}}
+	for i := 0; i < 30; i++ {
+		mixedRows = append(mixedRows, space.Config{float64(r.Intn(3)), r.Float64()})
+	}
+	mixedValues := make([]float64, len(mixedRows))
+	for i := range mixedValues {
+		mixedValues[i] = float64(i)
+	}
+	denseRows, denseValues := discrete(dense, 40)    // grid 60
+	sparseRows, sparseValues := discrete(sparse, 60) // grid 512
+	out := map[string]*Table{}
+	for name, tc := range map[string]struct {
+		sp      *space.Space
+		configs []space.Config
+		values  []float64
+	}{
+		"dense":  {dense, denseRows, denseValues},
+		"sparse": {sparse, sparseRows, sparseValues},
+		"mixed":  {mixed, mixedRows, mixedValues},
+	} {
+		tbl, err := New(name, "m", tc.sp, tc.configs, tc.values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = tbl
+	}
+	return out
+}
+
+// TestTableIndexMatchesKey checks the table's index, core's
+// configuration identity, against a Space.Key map: for every row, every
+// grid point of a discrete table, off-grid and out-of-bounds values in
+// each parameter, and wrong arities. Several goroutines then read the
+// same table at once, as parallel harness repetitions do.
+func TestTableIndexMatchesKey(t *testing.T) {
+	for name, tbl := range indexTables(t) {
+		t.Run(name, func(t *testing.T) {
+			sp := tbl.Space
+			ref := make(map[string]int, tbl.Len())
+			for i, c := range tbl.Configs() {
+				ref[sp.Key(c)] = i
+			}
+			check := func(c space.Config) {
+				want := -1
+				if len(c) == sp.NumParams() {
+					if i, ok := ref[sp.Key(c)]; ok {
+						want = i
+					}
+				}
+				if got := tbl.IndexOf(c); got != want {
+					t.Fatalf("IndexOf(%v) = %d, Space.Key says %d", c, got, want)
+				}
+				v, ok := tbl.Lookup(c)
+				if ok != (want >= 0) || (ok && v != tbl.Value(want)) {
+					t.Fatalf("Lookup(%v) = %v,%v, Space.Key says row %d", c, v, ok, want)
+				}
+			}
+			var probes []space.Config
+			for i, c := range tbl.Configs() {
+				if tbl.IndexOf(c.Clone()) != i {
+					t.Fatalf("row %d %v not found", i, c)
+				}
+				probes = append(probes, c, c[:len(c)-1], append(c.Clone(), 0))
+				for d, v := range c {
+					for _, w := range []float64{-1, 0.5, v + 0.5, v - 0.5, -v, math.Nextafter(v, 2), 3, 8, 9, 1e300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+						p := c.Clone()
+						p[d] = w
+						probes = append(probes, p)
+					}
+				}
+			}
+			if sp.AllDiscrete() {
+				for g := 0; g < sp.GridSize(); g++ {
+					probes = append(probes, sp.FromGridIndex(g))
+				}
+			}
+			probes = append(probes, nil, space.Config{})
+			for _, p := range probes {
+				check(p)
+			}
+
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i, c := range tbl.Configs() {
+						if tbl.IndexOf(c) != i {
+							t.Errorf("concurrent IndexOf(row %d) = %d", i, tbl.IndexOf(c))
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

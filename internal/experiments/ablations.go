@@ -5,9 +5,7 @@ import (
 
 	"github.com/hpcautotune/hiperbot/internal/apps/kripke"
 	"github.com/hpcautotune/hiperbot/internal/core"
-	"github.com/hpcautotune/hiperbot/internal/dataset"
 	"github.com/hpcautotune/hiperbot/internal/harness"
-	"github.com/hpcautotune/hiperbot/internal/space"
 	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
@@ -189,14 +187,13 @@ func AblationBatchSize(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	tbl := kripke.Exec().Table()
 	_, _, exhaustive := tbl.Best()
-	candidates := tableConfigs(tbl)
 	var rows []AblationRow
 	for _, k := range []int{1, 4, 16} {
 		var sum float64
 		for rep := 0; rep < cfg.Repetitions; rep++ {
 			tn, err := core.NewTuner(tbl.Space, tbl.Objective(), core.Options{
 				Seed:       cfg.Seed + uint64(rep)*113,
-				Candidates: candidates,
+				Candidates: tbl.Configs(),
 			})
 			if err != nil {
 				return nil, err
@@ -240,13 +237,4 @@ func AblationGEISTGraph(cfg Config) ([]AblationRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// tableConfigs copies a table's rows into a candidate slice.
-func tableConfigs(tbl *dataset.Table) []space.Config {
-	out := make([]space.Config, tbl.Len())
-	for i := range out {
-		out[i] = tbl.Config(i)
-	}
-	return out
 }

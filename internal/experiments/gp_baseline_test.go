@@ -25,7 +25,7 @@ func TestTransitiveOrderingHiPerBOtGeistGP(t *testing.T) {
 	curves, err := harness.RunCurves([]harness.Method{
 		harness.HiPerBOt(harness.HiPerBOtOptions{}),
 		harness.GEIST(harness.GEISTOptions{}),
-		harness.GP(4), // refit every 4 evaluations to bound cost
+		harness.GP(),
 	}, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func newEngine(sp *space.Space, opts core.Options, pool *core.Pool) (core.Model,
 	}
 	g := cfg.Graph
 	if g == nil {
-		g = BuildGraphFromConfigs(sp, pool.Candidates())
+		g = buildGraph(sp, pool.Size(), pool.Candidate, pool.IndexOf, false)
 	}
 	if g.NumNodes() != pool.Size() {
 		return nil, nil, fmt.Errorf("geist: graph has %d nodes, candidate pool %d", g.NumNodes(), pool.Size())

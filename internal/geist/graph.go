@@ -35,7 +35,7 @@ type Graph struct {
 // configurations differ in exactly one (discrete) parameter. Neighbor
 // discovery runs in parallel over rows.
 func BuildGraph(tbl *dataset.Table) *Graph {
-	return buildGraph(tbl, false)
+	return buildGraph(tbl.Space, tbl.Len(), tbl.Config, tbl.IndexOf, false)
 }
 
 // BuildWeightedGraph is BuildGraph with level-distance edge weights:
@@ -43,35 +43,13 @@ func BuildGraph(tbl *dataset.Table) *Graph {
 // values) gets weight 1/(1+|Δindex|-1) — adjacent levels weigh 1,
 // distant levels less; categorical flips always weigh 1.
 func BuildWeightedGraph(tbl *dataset.Table) *Graph {
-	return buildGraph(tbl, true)
+	return buildGraph(tbl.Space, tbl.Len(), tbl.Config, tbl.IndexOf, true)
 }
 
-func buildGraph(tbl *dataset.Table, weighted bool) *Graph {
-	return buildGraphIndexed(tbl.Space, tbl.Len(), tbl.Config, tbl.IndexOf, weighted)
-}
-
-// BuildGraphFromConfigs constructs the unweighted Hamming-1 graph
-// over an explicit candidate list (node i = configs[i]) — the path
-// used when the "geist" engine is handed a candidate pool with no
-// prebuilt graph. Duplicate configurations must not occur.
-func BuildGraphFromConfigs(sp *space.Space, configs []space.Config) *Graph {
-	index := make(map[string]int, len(configs))
-	for i, c := range configs {
-		index[sp.Key(c)] = i
-	}
-	indexOf := func(c space.Config) int {
-		if j, ok := index[sp.Key(c)]; ok {
-			return j
-		}
-		return -1
-	}
-	config := func(i int) space.Config { return configs[i] }
-	return buildGraphIndexed(sp, len(configs), config, indexOf, false)
-}
-
-// buildGraphIndexed does the parallel neighbor discovery shared by
-// the table- and config-list-backed constructors.
-func buildGraphIndexed(sp *space.Space, n int, config func(int) space.Config, indexOf func(space.Config) int, weighted bool) *Graph {
+// buildGraph does the parallel neighbor discovery over n nodes, node
+// i being config(i) and indexOf mapping a configuration back to its
+// node or -1: a table's rows, or a candidate pool's.
+func buildGraph(sp *space.Space, n int, config func(int) space.Config, indexOf func(space.Config) int, weighted bool) *Graph {
 	g := &Graph{n: n, adj: make([][]int32, n)}
 	if weighted {
 		g.weights = make([][]float32, n)

@@ -5,7 +5,6 @@ import (
 
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
-	"github.com/hpcautotune/hiperbot/internal/space"
 	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
@@ -108,15 +107,11 @@ func (s *Sampler) Run(budget int) (*core.History, error) {
 		}
 	}
 
-	candidates := make([]space.Config, s.tbl.Len())
-	for i := range candidates {
-		candidates[i] = s.tbl.Config(i)
-	}
 	tn, err := core.NewTuner(s.tbl.Space, s.tbl.Objective(), core.Options{
 		Engine:         "geist",
 		InitialSamples: s.opts.InitialSamples,
 		Seed:           s.opts.Seed,
-		Candidates:     candidates,
+		Candidates:     s.tbl.Configs(),
 		EngineConfig: EngineConfig{
 			Graph:       s.g,
 			CAMLP:       s.opts.CAMLP,

@@ -19,12 +19,11 @@ import (
 
 var gpGoldenSequences = map[string][]int{
 	"kripke-exec-gp-s42-b60-r1": {1141, 1285, 133, 1218, 1139, 934, 466, 1150, 516, 1583, 1084, 1142, 992, 1411, 1370, 1230, 1093, 1360, 1475, 604, 1266, 1257, 1211, 461, 453, 1265, 1200, 521, 151, 208, 739, 685, 487, 717, 570, 587, 109, 1611, 725, 197, 93, 163, 534, 12, 799, 731, 1429, 657, 548, 704, 652, 174, 1504, 955, 185, 714, 998, 990, 1494, 1565},
-	"kripke-exec-gp-s7-b60-r4":  {243, 215, 413, 646, 901, 867, 750, 97, 725, 1414, 1394, 1339, 167, 1116, 444, 1173, 1582, 252, 1507, 1565, 624, 570, 619, 565, 787, 752, 714, 739, 976, 974, 960, 957, 692, 220, 110, 206, 1266, 1211, 1209, 1490, 1155, 1214, 461, 477, 1092, 294, 351, 291, 1200, 1087, 1250, 1590, 185, 685, 1224, 1165, 696, 174, 780, 643},
 }
 
-func gpRun(t testing.TB, tbl *dataset.Table, seed uint64, budget, refit, workers int) []int {
+func gpRun(t testing.TB, tbl *dataset.Table, seed uint64, budget, workers int) []int {
 	t.Helper()
-	h, err := gp.Select(tbl, budget, gp.Options{Seed: seed, Refit: refit, Parallelism: workers})
+	h, err := gp.Select(tbl, budget, gp.Options{Seed: seed, Parallelism: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +51,10 @@ func assertGPSeq(t *testing.T, name string, got []int) {
 }
 
 // TestGoldenGPSelect pins the rewritten Select to the pre-rewrite
-// selection sequences, at every-step and every-4th-step refit
-// cadences.
+// selection sequence, which refit the GP after every evaluation.
 func TestGoldenGPSelect(t *testing.T) {
 	ke := kripke.Exec().Table()
-	assertGPSeq(t, "kripke-exec-gp-s42-b60-r1", gpRun(t, ke, 42, 60, 1, 0))
-	assertGPSeq(t, "kripke-exec-gp-s7-b60-r4", gpRun(t, ke, 7, 60, 4, 0))
+	assertGPSeq(t, "kripke-exec-gp-s42-b60-r1", gpRun(t, ke, 42, 60, 0))
 }
 
 // TestGoldenGPSelectWorkerInvariance re-runs a golden sequence at
@@ -66,6 +63,6 @@ func TestGoldenGPSelect(t *testing.T) {
 func TestGoldenGPSelectWorkerInvariance(t *testing.T) {
 	ke := kripke.Exec().Table()
 	for _, workers := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
-		assertGPSeq(t, "kripke-exec-gp-s42-b60-r1", gpRun(t, ke, 42, 60, 1, workers))
+		assertGPSeq(t, "kripke-exec-gp-s42-b60-r1", gpRun(t, ke, 42, 60, workers))
 	}
 }

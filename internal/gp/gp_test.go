@@ -166,7 +166,7 @@ func TestSelectValidation(t *testing.T) {
 
 func TestSelectRefitInterval(t *testing.T) {
 	tbl := gridTable(t)
-	h, err := Select(tbl, 30, Options{InitialSamples: 10, Seed: 3, Refit: 5})
+	h, err := Select(tbl, 30, Options{InitialSamples: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

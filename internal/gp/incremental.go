@@ -11,8 +11,8 @@ package gp
 //     jitter retry (escalating diagonal noise, bounded attempts)
 //     instead of failing the fit.
 //
-//   - poolEI: the pool↔training cross-kernel caches used by Select
-//     and the "gp" engine. The K* matrix gains one row per new
+//   - poolEI: the pool↔training cross-kernel caches of the "gp"
+//     engine (which Select drives). The K* matrix gains one row per new
 //     observation (never recomputed for the whole pool), the
 //     forward-solved V = L⁻¹K* gains one row per factor extension
 //     (forward substitution never revisits earlier rows), and the
@@ -141,7 +141,7 @@ func (tr *trainer) solveAlpha(ys, z, alpha []float64) (mean, std float64) {
 }
 
 // posterior materializes the fitted GP (fresh buffers — the public
-// Fit path; the engine and Select reuse buffers via solveAlpha).
+// Fit path; the engine reuses buffers via solveAlpha).
 func (tr *trainer) posterior(xs [][]float64, ys []float64) *GP {
 	n := len(ys)
 	z := make([]float64, n)

@@ -119,7 +119,7 @@ func TestPoolEIMatchesPredict(t *testing.T) {
 		tr := newTrainer(kernel, 4, kernelRows(kernel, &xs))
 		pe := newPoolEI(feat, kernel, workers)
 		// Fit at n = 6, 13, 20: each fold extends the caches by
-		// several rows at once (the Refit>1 cadence).
+		// several rows at once (as the first fit after a resume does).
 		for _, n := range []int{6, 13, 20} {
 			for len(xs) < n {
 				row := feat.Row(r.Intn(pool)) // pool rows as training points

@@ -2,11 +2,9 @@ package gp
 
 import (
 	"fmt"
-	"runtime"
 
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
-	"github.com/hpcautotune/hiperbot/internal/linalg"
 	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
@@ -17,12 +15,6 @@ type Options struct {
 	InitialSamples int
 	// Kernel parameterizes the RBF covariance.
 	Kernel Kernel
-	// Refit controls how often the GP is refit: every Refit
-	// evaluations (default 1 — every step). Fits are incremental
-	// (O(n²) per new observation, DESIGN.md §9), so raising this now
-	// mostly trades model freshness for skipping the O(n²) weight
-	// re-solve.
-	Refit int
 	// Seed drives the bootstrap.
 	Seed uint64
 	// Parallelism caps the worker goroutines used for the pooled
@@ -31,98 +23,46 @@ type Options struct {
 	Parallelism int
 }
 
-func (o Options) withDefaults() Options {
-	if o.InitialSamples == 0 {
-		o.InitialSamples = 20
-	}
-	if o.Refit == 0 {
-		o.Refit = 1
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	o.Kernel = o.Kernel.withDefaults()
-	return o
-}
-
 // Select runs GP-EI active learning over a dataset: bootstrap with
 // random configurations, then repeatedly fit the GP and evaluate the
 // unevaluated configuration with the highest expected improvement.
 //
-// The hot path is fully incremental: each refit extends the Cholesky
-// factor by the new rows (O(n²) apiece), extends the cached pool
-// cross-kernel/forward-solve matrices by one row per observation, and
-// re-solves only the weight vector; the per-step acquisition sweep is
-// then O(tbl.Len()). Selections are bit-identical to fitting a fresh
-// GP per refit and scoring every candidate with Predict.
+// It is a thin adapter over the registered "gp" engine, as
+// geist.Sampler is over "geist": the bootstrap draws happen here,
+// then the shared core.Tuner loop refits the GP incrementally after
+// every evaluation (DESIGN.md §9) and ranks the table's rows by EI.
 func Select(tbl *dataset.Table, budget int, opts Options) (*core.History, error) {
-	opts = opts.withDefaults()
+	if opts.InitialSamples == 0 {
+		opts.InitialSamples = 20
+	}
 	if opts.InitialSamples < 2 {
 		return nil, fmt.Errorf("gp: need at least 2 initial samples")
 	}
 	if budget < opts.InitialSamples || budget > tbl.Len() {
 		return nil, fmt.Errorf("gp: budget %d outside [%d,%d]", budget, opts.InitialSamples, tbl.Len())
 	}
-
-	featLen := tbl.Space.OneHotLen()
-	features := linalg.NewMatrix(tbl.Len(), featLen)
-	for i := 0; i < tbl.Len(); i++ {
-		tbl.Space.EncodeOneHot(tbl.Config(i), features.Row(i))
-	}
-
 	r := stats.NewRNG(opts.Seed)
 	h := core.NewHistory(tbl.Space)
-	evaluated := make(map[int]bool, budget)
-	xs := make([][]float64, 0, budget)
-	ys := make([]float64, 0, budget)
-	evalRow := func(idx int) error {
-		evaluated[idx] = true
-		xs = append(xs, features.Row(idx))
-		ys = append(ys, tbl.Value(idx))
-		return h.Add(tbl.Config(idx), tbl.Value(idx))
-	}
 	for _, idx := range r.SampleWithoutReplacement(tbl.Len(), opts.InitialSamples) {
-		if err := evalRow(idx); err != nil {
+		if err := h.Add(tbl.Config(idx), tbl.Value(idx)); err != nil {
 			return nil, err
 		}
 	}
-
-	tr := newTrainer(opts.Kernel, budget, kernelRows(opts.Kernel, &xs))
-	pe := newPoolEI(features, opts.Kernel, opts.Parallelism)
-	z := make([]float64, 0, budget)
-	alpha := make([]float64, 0, budget)
-
-	fitted := false
-	sinceFit := opts.Refit // force a fit on the first model step
-	for h.Len() < budget {
-		if sinceFit >= opts.Refit || !fitted {
-			if err := foldInto(tr, pe, xs); err != nil {
-				return nil, err
-			}
-			n := len(ys)
-			z, alpha = z[:n], alpha[:n] // fully overwritten by solveAlpha
-			mean, std := tr.solveAlpha(ys, z, alpha)
-			pe.refreshMoments(alpha, mean, std)
-			fitted = true
-			sinceFit = 0
-		}
-		ei := pe.refreshEI(h.Best().Value)
-		bestIdx, bestEI := -1, -1.0
-		for i := 0; i < tbl.Len(); i++ {
-			if evaluated[i] {
-				continue
-			}
-			if ei[i] > bestEI {
-				bestEI, bestIdx = ei[i], i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		if err := evalRow(bestIdx); err != nil {
-			return nil, err
-		}
-		sinceFit++
+	tn, err := core.NewTuner(tbl.Space, tbl.Objective(), core.Options{
+		Engine:         "gp",
+		InitialSamples: opts.InitialSamples,
+		Seed:           opts.Seed,
+		Candidates:     tbl.Configs(),
+		EngineConfig:   EngineConfig{Kernel: opts.Kernel, Parallelism: opts.Parallelism},
+	})
+	if err != nil {
+		return nil, err
 	}
-	return h, nil
+	if err := tn.Resume(h); err != nil {
+		return nil, err
+	}
+	if _, err := tn.Run(budget); err != nil {
+		return nil, err
+	}
+	return tn.History(), nil
 }

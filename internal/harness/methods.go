@@ -8,26 +8,7 @@ import (
 	"github.com/hpcautotune/hiperbot/internal/dataset"
 	"github.com/hpcautotune/hiperbot/internal/geist"
 	"github.com/hpcautotune/hiperbot/internal/gp"
-	"github.com/hpcautotune/hiperbot/internal/space"
 )
-
-// candidateCache shares the per-dataset candidate slice across
-// repetitions (the rows themselves are immutable).
-var candidateCache sync.Map // *dataset.Table → []space.Config
-
-// tableCandidates returns every configuration of the table as the
-// tuner's Ranking candidate pool.
-func tableCandidates(tbl *dataset.Table) []space.Config {
-	if cached, ok := candidateCache.Load(tbl); ok {
-		return cached.([]space.Config)
-	}
-	out := make([]space.Config, tbl.Len())
-	for i := range out {
-		out[i] = tbl.Config(i)
-	}
-	candidateCache.Store(tbl, out)
-	return out
-}
 
 // Method is a configuration-selection strategy evaluated by the
 // harness: given a dataset, an evaluation budget, and a seed, it
@@ -68,7 +49,7 @@ func HiPerBOt(opts HiPerBOtOptions) Method {
 				},
 				Engine:     opts.Engine,
 				Seed:       seed,
-				Candidates: tableCandidates(tbl),
+				Candidates: tbl.Configs(),
 			}
 			tn, err := core.NewTuner(tbl.Space, tbl.Objective(), tunerOpts)
 			if err != nil {
@@ -83,30 +64,17 @@ func HiPerBOt(opts HiPerBOtOptions) Method {
 }
 
 // Engine wraps any registered core engine, selected by name, as a
-// harness method — the dataset's rows become the candidate pool, so
-// pool-preferring and pool-requiring engines alike only ever choose
-// measured configurations. Unknown names surface as NewTuner errors on
-// the first Run. Note this drives every engine through the one shared
+// harness method: HiPerBOt with only the engine set, named after it.
+// The dataset's rows become the candidate pool, so pool-preferring and
+// pool-requiring engines alike only ever choose measured
+// configurations. Unknown names surface as NewTuner errors on the
+// first Run. Note this drives every engine through the one shared
 // tuner loop, so e.g. "geist" here uses the tuner's RNG stream, not
 // the legacy geist.Sampler bootstrap stream (use GEIST for that).
 func Engine(name string) Method {
-	return Method{
-		Name: name,
-		Run: func(tbl *dataset.Table, budget int, seed uint64) (*core.History, error) {
-			tn, err := core.NewTuner(tbl.Space, tbl.Objective(), core.Options{
-				Engine:     name,
-				Seed:       seed,
-				Candidates: tableCandidates(tbl),
-			})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := tn.Run(budget); err != nil {
-				return nil, err
-			}
-			return tn.History(), nil
-		},
-	}
+	m := HiPerBOt(HiPerBOtOptions{Engine: name})
+	m.Name = name
+	return m
 }
 
 // Random wraps uniform random selection.
@@ -122,13 +90,13 @@ func Random() Method {
 // GP wraps Gaussian-process expected-improvement active learning
 // (Duplyakin et al., CLUSTER 2016) — the baseline the paper cites as
 // already beaten by GEIST and therefore omits; included here so the
-// transitive claim is checkable. Refit controls the O(n³) refit cadence
-// (0 = every step).
-func GP(refit int) Method {
+// transitive claim is checkable. The GP is refit after every
+// evaluation.
+func GP() Method {
 	return Method{
 		Name: "GP",
 		Run: func(tbl *dataset.Table, budget int, seed uint64) (*core.History, error) {
-			return gp.Select(tbl, budget, gp.Options{Seed: seed, Refit: refit})
+			return gp.Select(tbl, budget, gp.Options{Seed: seed})
 		},
 	}
 }
