@@ -69,6 +69,11 @@ func main() {
 	if _, err := core.ParseLiarPolicy(*liar); err != nil {
 		logger.Fatalf("hiperbotd: %v", err)
 	}
+	if *poolCap > core.DefaultEnumerateLimit {
+		// Create rejects a cap above the enumerate limit, so this
+		// default would fail every session create.
+		logger.Fatalf("hiperbotd: -pool-cap %d above its bound %d", *poolCap, core.DefaultEnumerateLimit)
+	}
 	var defaultObjectives []string
 	for _, s := range strings.Split(*objectives, ",") {
 		if s = strings.TrimSpace(s); s != "" {

@@ -59,18 +59,22 @@ type AskTell struct {
 // concurrently with Ask/Tell.
 func NewAskTell(t *Tuner) *AskTell {
 	id := t.history.identity()
-	return &AskTell{
+	a := &AskTell{
 		t:         t,
-		leased:    LeaseFilter{index: configIndex{id: id}},
+		leased:    LeaseFilter{index: configIndex{id: id}, pool: t.pool},
 		suggested: configSet{configIndex: configIndex{id: id}},
 	}
+	if t.pool != nil {
+		a.leased.bits = make([]uint64, (t.pool.Size()+63)/64)
+	}
+	return a
 }
 
 // LeaseFilter is the set of live leases as acquisition tests it: the
 // leases indexed by configuration identity, for configurations drawn
 // outside the pool, plus a bitset over the candidate indices of the
-// tuner's pool, so loops over the pool test an index. A nil filter
-// reports nothing leased.
+// tuner's pool, sized once in NewAskTell, so loops over the pool test
+// an index. A nil filter reports nothing leased.
 type LeaseFilter struct {
 	live  []Lease     // the live leases, in no particular order
 	index configIndex // live by configuration identity
@@ -113,28 +117,10 @@ func (f *LeaseFilter) mark(c space.Config, on bool) {
 	}
 }
 
-// bind points the bitset at pool, rebuilding it from the live leases
-// when pool is not the one it indexes (Tuner.RefreshPool swaps the
-// tuner's pool).
-func (f *LeaseFilter) bind(pool *Pool) {
-	if f.pool == pool {
-		return
-	}
-	f.pool, f.bits = pool, nil
-	if pool == nil {
-		return
-	}
-	f.bits = make([]uint64, (pool.Size()+63)/64)
-	for _, l := range f.live {
-		f.mark(l.Config, true)
-	}
-}
-
-// filter returns the lease filter for the next acquisition, bound to
-// the tuner's current pool: nil while no lease is live, so the serial
-// path runs exactly as a tuner without leases.
+// filter returns the lease filter for the next acquisition: nil while
+// no lease is live, so the serial path runs exactly as a tuner without
+// leases.
 func (a *AskTell) filter() *LeaseFilter {
-	a.leased.bind(a.t.pool)
 	if len(a.leased.live) == 0 {
 		return nil
 	}

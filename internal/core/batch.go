@@ -26,7 +26,7 @@ import (
 // completed its initial sampling phase; call Step (or Run) through
 // the initial phase first.
 //
-// The returned slice is a scratch buffer reused by the next
+// The returned slice may be a buffer reused by the next
 // acquisition on this tuner (the configurations themselves are
 // stable): consume or copy it before calling SelectBatch, Step, or
 // Ask again.
@@ -76,7 +76,6 @@ func (t *Tuner) ObserveObs(obs Observation) error {
 		return err
 	}
 	t.markEvaluated(obs.Config)
-	t.model.Observe(obs)
 	if t.opts.OnStep != nil {
 		obs.Config = obs.Config.Clone()
 		t.opts.OnStep(t.iter, obs)

@@ -28,9 +28,6 @@ type Model interface {
 	// before every acquisition, so incremental models may no-op when
 	// nothing changed.
 	Fit(h *History) error
-	// Observe folds in a single new observation between fits; models
-	// that refit from scratch in Fit may ignore it.
-	Observe(obs Observation)
 	// Score returns the acquisition score of one configuration
 	// (higher is better). Only meaningful after a successful Fit.
 	Score(c space.Config) float64
@@ -47,10 +44,10 @@ type Model interface {
 }
 
 // Acquisition carries everything an Acquirer may consult when
-// proposing candidates. Pool is nil for engines that run without a
-// finite candidate set. Scratch, when non-nil, provides reusable
-// buffers and generation-keyed caches owned by the driving Tuner;
-// acquirers must work (allocating as needed) when it is nil.
+// proposing candidates: the fitted model, the history, the pool and
+// the leases. Pool is nil for engines that run without a finite
+// candidate set. Nothing an acquirer computes from it outlives the
+// call; an acquirer may keep buffers, never results.
 type Acquisition struct {
 	Space            *space.Space
 	Model            Model
@@ -59,7 +56,6 @@ type Acquisition struct {
 	RNG              *stats.RNG
 	Parallelism      int
 	CandidateSamples int
-	Scratch          *Scratch
 	// Leased, when non-nil, excludes the candidates of live leases
 	// from acquisition on top of the evaluated set — the lease filter
 	// of pending-aware ask/tell. Every acquirer must honor it: loops
@@ -68,84 +64,6 @@ type Acquisition struct {
 	// when no lease is live, which must leave acquisition
 	// bit-identical to the lease-free path.
 	Leased *LeaseFilter
-}
-
-// rankedCandidate pairs a pool candidate index with its model score,
-// the unit of the ranking acquirer's sorted view of the pool.
-type rankedCandidate struct {
-	idx   int
-	score float64
-}
-
-// Scratch holds one tuner's reusable acquisition state: the score
-// buffer and the sorted pool ranking, both keyed by the composed
-// (history generation, pending hash) pair (the fitted model, and
-// therefore every candidate score, is a pure function of the
-// fantasized history), plus the picks buffer returned by Propose.
-// With no pending overlay the hash component is always 0, so the key
-// reduces to the plain generation and the warm steady-state k=1
-// ranking acquisition stays allocation-free (guarded by
-// TestSelectBatchNoAllocs).
-type Scratch struct {
-	scores     []float64 // model scores over the pool's full batch
-	scoresGen  uint64
-	scoresPend uint64
-	scoresOK   bool
-
-	rank       rankedPool // lazily sorted pool view (score desc, idx asc)
-	rankedGen  uint64
-	rankedPend uint64
-	rankedOK   bool
-
-	picks []space.Config // reused Propose result buffer
-}
-
-// invalidate drops every cached value (used when the tuner's model is
-// refit against a different history object).
-func (s *Scratch) invalidate() {
-	s.scoresOK = false
-	s.rankedOK = false
-}
-
-// poolScores returns the model's scores over the pool's full batch,
-// served from the scratch cache when the (generation, pending hash)
-// pair is unchanged since they were computed. The cached values are
-// the exact float64s ScoreAll would produce (chunk boundaries are
-// deterministic), so cache hits are bit-identical to recomputation.
-func (a *Acquisition) poolScores(b *space.Batch) []float64 {
-	s := a.Scratch
-	if s == nil {
-		return ScoreAll(a.Model, b, a.Parallelism)
-	}
-	gen := a.History.Generation()
-	pend := a.History.PendingHash()
-	if s.scoresOK && s.scoresGen == gen && s.scoresPend == pend && len(s.scores) == b.Len() {
-		return s.scores
-	}
-	if cap(s.scores) < b.Len() {
-		s.scores = make([]float64, b.Len())
-	}
-	s.scores = s.scores[:b.Len()]
-	ScoreAllInto(a.Model, b, a.Parallelism, s.scores)
-	s.scoresGen = gen
-	s.scoresPend = pend
-	s.scoresOK = true
-	return s.scores
-}
-
-// takePicks returns an empty picks buffer to accumulate a Propose
-// result into, reusing the scratch buffer when available. The
-// returned slice is only valid until the next acquisition on the same
-// tuner (see Tuner.SelectBatch).
-func (a *Acquisition) takePicks(k int) []space.Config {
-	if a.Scratch == nil {
-		return make([]space.Config, 0, k)
-	}
-	if cap(a.Scratch.picks) < k {
-		a.Scratch.picks = make([]space.Config, 0, k)
-	}
-	a.Scratch.picks = a.Scratch.picks[:0]
-	return a.Scratch.picks
 }
 
 // Acquirer proposes up to k not-yet-evaluated candidates from a
@@ -180,8 +98,8 @@ func ScoreAll(m Model, b *space.Batch, workers int) []float64 {
 }
 
 // ScoreAllInto is ScoreAll writing into a caller-provided buffer
-// (len(dst) must equal b.Len()), the allocation-free variant used by
-// the scratch-backed hot path.
+// (len(dst) must equal b.Len()), the allocation-free variant the
+// ranking acquirer rescores the pool with.
 func ScoreAllInto(m Model, b *space.Batch, workers int, dst []float64) {
 	if b.Len() <= serialScoreCutoff {
 		m.ScoreBatch(b, dst)
@@ -213,14 +131,12 @@ const (
 type EngineSpec struct {
 	Name string
 	Pool PoolPolicy
-	// PoolBound marks engines that capture pool state at construction
-	// (e.g. geist's Hamming graph, gp's feature encoding): their pool
-	// cannot be swapped afterwards, so Tuner.RefreshPool refuses.
-	PoolBound bool
 	// New builds the engine for one tuning session. pool is non-nil
 	// exactly when the policy asked for one and the tuner could build
-	// it; opts carries the shared knobs (Surrogate hyperparameters,
-	// seeds) plus the engine-specific Options.EngineConfig.
+	// it, and the tuner keeps it for its whole life, so an engine may
+	// bind state to it (gp's feature encoding, geist's graph); opts
+	// carries the shared knobs (Surrogate hyperparameters, seeds) plus
+	// the engine-specific Options.EngineConfig.
 	New func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error)
 }
 

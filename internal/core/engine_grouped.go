@@ -149,7 +149,8 @@ func resolveGroups(sp *space.Space, spec [][]string) ([][]int, error) {
 // to-be-auto-proposed) partition of the dimensions. Scoring, sampling,
 // and introspection delegate to the flat model — the factorized
 // surrogate restricted to a group IS the group's surrogate — while the
-// grouped acquirer reads the partition and the per-group caches.
+// grouped acquirer reads the partition and fills the per-group top
+// lists.
 type GroupedModel struct {
 	sp   *space.Space
 	flat *TPEModel
@@ -180,7 +181,7 @@ func NewGroupedModel(sp *space.Space, opts Options) (*GroupedModel, error) {
 }
 
 // setGroups installs a resolved partition and builds the per-group
-// acquisition state.
+// acquisition buffers.
 func (m *GroupedModel) setGroups(groups [][]int) {
 	m.groups = groups
 	m.subs = make([]*groupSub, len(groups))
@@ -226,7 +227,7 @@ func (m *GroupedModel) degenerate() bool {
 // pendingHash) caches make repeat calls free), then — once, at the
 // first fit — resolves the auto-proposed grouping from the fitted
 // densities. The partition is frozen afterwards: regrouping mid-run
-// would invalidate every per-group cache for no measured gain.
+// would move the search's structure under it for no measured gain.
 func (m *GroupedModel) Fit(h *History) error {
 	if err := m.flat.Fit(h); err != nil {
 		return err
@@ -247,9 +248,6 @@ func (m *GroupedModel) fitExact(h *History) error {
 	}
 	return m.flat.fitExact(h)
 }
-
-// Observe is a no-op, like the flat model's: Fit refits incrementally.
-func (m *GroupedModel) Observe(obs Observation) { m.flat.Observe(obs) }
 
 // Score is the full-joint score — identical to the sum of the
 // per-group partial scores, since the surrogate factorizes per
@@ -400,27 +398,19 @@ func normalizeProbs(p []float64) {
 }
 
 // groupSub is one group's acquisition state: its dimensions, sub-grid
-// size, and the cached top-m sub-assignments under the current fit.
-// The cache is keyed by the same (generation, pending hash) pair as
-// the flat fit caches, so an ask between observations recomputes
-// nothing per group.
+// size, and the buffers of its top-m sub-assignments, which every ask
+// refills under the current fit.
 type groupSub struct {
 	dims []int  // parameter indices, ascending
 	grid uint64 // sub-grid size (0 = overflows uint64 bounds)
 
 	top       [][]float64 // best sub-assignments (level indices per dim), score desc
 	topScores []float64
-	topGen    uint64
-	topPend   uint64
-	topOK     bool
 }
 
 // refresh recomputes the group's top sub-assignments under the current
-// surrogate unless the (generation, pending hash) key is unchanged.
-func (g *groupSub) refresh(a *Acquisition, s *Surrogate, gen, pend uint64) error {
-	if g.topOK && g.topGen == gen && g.topPend == pend {
-		return nil
-	}
+// surrogate.
+func (g *groupSub) refresh(a *Acquisition, s *Surrogate) error {
 	if g.grid != 0 && g.grid <= groupEnumerateLimit {
 		g.enumerateTop(s, topPerGroup)
 	} else {
@@ -429,7 +419,6 @@ func (g *groupSub) refresh(a *Acquisition, s *Surrogate, gen, pend uint64) error
 	if len(g.top) == 0 {
 		return fmt.Errorf("core: grouped acquisition: group %v produced no sub-assignments", g.dims)
 	}
-	g.topGen, g.topPend, g.topOK = gen, pend, true
 	return nil
 }
 
@@ -560,10 +549,8 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		return samplingAcquirer{draws: DefaultCandidateSamples}.Propose(a, k)
 	}
 	s := m.flat.current()
-	gen := a.History.Generation()
-	pend := a.History.PendingHash()
 	for _, g := range m.subs {
-		if err := g.refresh(a, s, gen, pend); err != nil {
+		if err := g.refresh(a, s); err != nil {
 			return nil, err
 		}
 	}

@@ -290,37 +290,28 @@ func TestGroupedBatchGoldenSequence(t *testing.T) {
 	}
 }
 
-// The exhausted-retries counter: a pool cap larger than the valid grid
-// forces the rejection loop to its retry bound, which must be counted,
-// not silent — while the short pool itself is still returned.
+// The exhausted-retries signal: a pool cap larger than the valid grid
+// forces the rejection loop to its retry bound, which must be
+// reported, not silent — while the short pool itself is still
+// returned.
 func TestSampledPoolExhaustedRetries(t *testing.T) {
 	sp := space.New(
 		space.DiscreteInts("a", 0, 1),
 		space.DiscreteInts("b", 0, 1),
 		space.DiscreteInts("c", 0, 1),
 	)
-	sampled, err := NewSampledPool(sp, 16, stats.NewRNG(3))
+	p, short, err := sampledPool(sp, 16, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sampled.Pool().Size(); got != 8 {
+	if got := p.Size(); got != 8 {
 		t.Fatalf("pool size = %d, want the full 8-point grid", got)
 	}
-	if got := sampled.ExhaustedRetries(); got != 1 {
-		t.Fatalf("ExhaustedRetries = %d, want 1", got)
+	if !short {
+		t.Fatal("a cap past the valid grid was not reported short")
 	}
-	if err := sampled.Refresh(nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := sampled.ExhaustedRetries(); got != 2 {
-		t.Fatalf("ExhaustedRetries after Refresh = %d, want 2", got)
-	}
-	// A cap the grid can satisfy never trips the counter.
-	ok, err := NewSampledPool(sp, 4, stats.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ok.ExhaustedRetries(); got != 0 {
-		t.Fatalf("ExhaustedRetries = %d on a satisfiable cap", got)
+	// A cap the grid can satisfy is never short.
+	if _, short, err := sampledPool(sp, 4, stats.NewRNG(3)); err != nil || short {
+		t.Fatalf("satisfiable cap: short = %v, err = %v", short, err)
 	}
 }

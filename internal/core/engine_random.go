@@ -32,9 +32,6 @@ type uniformModel struct{ sp *space.Space }
 // Fit is a no-op; the uniform model has no state.
 func (uniformModel) Fit(*History) error { return nil }
 
-// Observe is a no-op.
-func (uniformModel) Observe(Observation) {}
-
 // Score is constant: no configuration is preferred.
 func (uniformModel) Score(space.Config) float64 { return 0 }
 

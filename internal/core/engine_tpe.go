@@ -39,7 +39,7 @@ func init() {
 		Name: Ranking,
 		Pool: PoolRequired,
 		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
-			return &TPEModel{cfg: opts.Surrogate}, rankingAcquirer{}, nil
+			return &TPEModel{cfg: opts.Surrogate}, RankingAcquirer(), nil
 		},
 	})
 	RegisterEngine(EngineSpec{
@@ -151,9 +151,6 @@ func (m *TPEModel) fitExact(h *History) error {
 	return nil
 }
 
-// Observe is a no-op: Fit refits from the full history.
-func (m *TPEModel) Observe(Observation) {}
-
 // current returns the surrogate serving acquisition: the fantasized
 // one when the last Fit saw pending work, else the exact one (also the
 // fallback for models constructed around a ready-made surrogate).
@@ -208,9 +205,10 @@ func (m *TPEModel) Surrogate() *Surrogate { return m.s }
 // top-k diversified by Hamming distance otherwise — for engines
 // registered outside this package (e.g. the GP-EI engine) whose
 // selection rule is "score every remaining candidate, pick the best".
-// It shares the tuner's generation-keyed score caches, so any model
-// with a cheap ScoreBatch gets the allocation-free warm path.
-func RankingAcquirer() Acquirer { return rankingAcquirer{} }
+// Each call returns a new acquirer owning its scoring buffers, so an
+// engine factory calls it once per tuner; any model with an
+// allocation-free ScoreBatch then gets an allocation-free warm ask.
+func RankingAcquirer() Acquirer { return &rankingAcquirer{} }
 
 // ProposalAcquirer returns the pool-free acquirer of the Proposal
 // engine — draw 100 candidates per pick from the model's Sample (or
@@ -295,10 +293,16 @@ func pickTop(a *Acquisition, cands []space.Config, k int) ([]space.Config, error
 }
 
 // rankingAcquirer scores every remaining pool candidate and picks the
-// argmax (k = 1) or the top-k diversified by Hamming distance.
-type rankingAcquirer struct{}
+// argmax (k = 1) or the top-k diversified by Hamming distance. Every
+// call rescores the whole pool; the fields are buffers reused across
+// calls, never read before the call that fills them.
+type rankingAcquirer struct {
+	scores []float64      // model scores over the pool's full batch
+	rank   rankedPool     // the remaining pool by (score desc, idx asc)
+	picks  []space.Config // the Propose result
+}
 
-func (rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
+func (r *rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	p := a.Pool
 	if p == nil {
 		return nil, fmt.Errorf("core: ranking acquisition requires a candidate pool")
@@ -311,7 +315,11 @@ func (rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	scores := a.poolScores(batch)
+	if cap(r.scores) < batch.Len() {
+		r.scores = make([]float64, batch.Len())
+	}
+	scores := r.scores[:batch.Len()]
+	ScoreAllInto(a.Model, batch, a.Parallelism, scores)
 
 	if k == 1 {
 		// Argmax over the remaining pool net of leases, ties broken by
@@ -329,25 +337,22 @@ func (rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		if best < 0 {
 			return nil, nil // everything remaining is skipped (leased)
 		}
-		picks := append(a.takePicks(1), p.Candidate(rem[best]))
-		if a.Scratch != nil {
-			a.Scratch.picks = picks
-		}
-		return picks, nil
+		r.picks = append(r.picks[:0], p.Candidate(rem[best]))
+		return r.picks, nil
 	}
 
 	// Batch mode: rank the pool, then greedily admit candidates at
 	// pairwise Hamming distance >= minDist, relaxing the requirement
 	// whenever a pass admits nothing (pure top-k degenerates to the
-	// argmax and its immediate neighbors).
-	pool := rankRemaining(a, rem, scores)
-
-	picks := a.takePicks(k)
+	// argmax and its immediate neighbors). Lease filtering happens at
+	// admission, so the ranking covers the whole remaining pool.
+	r.rank.reset(rem, scores)
+	picks := r.picks[:0]
 	minDist := 2
 	for len(picks) < k && minDist >= 0 {
 		admitted := 0
 		for i := 0; len(picks) < k; i++ {
-			cand, ok := pool.at(i)
+			cand, ok := r.rank.at(i)
 			if !ok {
 				break
 			}
@@ -364,45 +369,24 @@ func (rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 			minDist-- // relax diversity until the batch fills
 		}
 	}
-	if a.Scratch != nil {
-		a.Scratch.picks = picks
-	}
+	r.picks = picks
 	return picks, nil
 }
 
-// rankRemaining returns the remaining pool ordered by (score desc,
-// candidate index asc) as a lazily materialized view, cached by the
-// composed (history generation, pending hash) key: the remaining set
-// and the scores both only change when the fantasized history does,
-// and the comparator is a strict total order (the index tiebreak), so
-// both the cache and the on-demand extraction yield the unique
-// ordering a full sort would produce. Lease filtering happens at
-// admission time, so the cached ranking is lease-independent.
-func rankRemaining(a *Acquisition, rem []int, scores []float64) *rankedPool {
-	s := a.Scratch
-	if s == nil {
-		r := &rankedPool{}
-		r.reset(rem, scores)
-		return r
-	}
-	gen := a.History.Generation()
-	pend := a.History.PendingHash()
-	if !s.rankedOK || s.rankedGen != gen || s.rankedPend != pend || s.rank.size() != len(rem) {
-		s.rank.reset(rem, scores)
-		s.rankedGen = gen
-		s.rankedPend = pend
-		s.rankedOK = true
-	}
-	return &s.rank
+// rankedCandidate pairs a pool candidate index with its model score,
+// the unit of the ranking acquirer's sorted view of the pool.
+type rankedCandidate struct {
+	idx   int
+	score float64
 }
 
 // rankedPool is a lazily sorted view of the remaining pool: a sorted
 // prefix grown on demand by popping a max-heap of the rest. The batch
 // acquirer usually admits its k picks from a short prefix, so this
 // costs O(n + e·log n) for e extracted entries instead of the
-// O(n·log n) of sorting the whole pool on every generation change,
-// while position i always holds exactly the candidate a full sort
-// would put there.
+// O(n·log n) of sorting the whole pool on every call, while position
+// i always holds exactly the candidate a full sort would put there
+// (the comparator is a strict total order: the index breaks ties).
 type rankedPool struct {
 	sorted []rankedCandidate // extracted prefix, in final order
 	heap   []rankedCandidate // max-heap of the not-yet-extracted rest
@@ -416,8 +400,6 @@ func rankedBefore(a, b rankedCandidate) bool {
 	}
 	return a.idx < b.idx
 }
-
-func (r *rankedPool) size() int { return len(r.sorted) + len(r.heap) }
 
 // reset reloads the view from the remaining pool and its scores,
 // reusing both buffers.

@@ -129,7 +129,7 @@ func (h *History) obsRow(i int) space.Config { return h.obs[i].Config }
 // Generation returns a counter that changes whenever the history
 // does. A history is append-only, so equal generations on the same
 // History mean the observation set is unchanged — the invalidation
-// key for fitted-model and score caches (TPEModel, Scratch).
+// key for fitted-model caches (TPEModel, the gp and motpe models).
 func (h *History) Generation() uint64 { return h.gen }
 
 // MustAdd is Add but panics on duplicates.

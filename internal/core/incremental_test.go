@@ -165,12 +165,14 @@ func TestHistoryGeneration(t *testing.T) {
 	}
 }
 
-// TestSelectBatchNoAllocs is the allocation guard for the cached-fit
-// Ask path: with the history unchanged since the last fit, a k=1
-// ranking selection must not allocate at all.
+// TestSelectBatchNoAllocs is the allocation guard for the warm Ask
+// path: with the history unchanged since the last fit, a k=1 ranking
+// selection rescores the whole pool (kripke-exec's 1 612 rows, under
+// serialScoreCutoff, so on the calling goroutine) into the acquirer's
+// buffers and must not allocate at all.
 func TestSelectBatchNoAllocs(t *testing.T) {
 	tn := warmKripkeTuner(t, 40)
-	if _, err := tn.SelectBatch(1); err != nil { // warm the caches
+	if _, err := tn.SelectBatch(1); err != nil { // size the buffers
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {

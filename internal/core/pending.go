@@ -74,10 +74,6 @@ func (p LiarPolicy) String() string {
 	}
 }
 
-// LiarPolicies lists the accepted policy spellings, for flag help and
-// error messages.
-func LiarPolicies() []string { return []string{"min", "mean", "max"} }
-
 // SetLiar selects the constant-liar policy used for fantasy values.
 // Changing the policy invalidates the cached fantasized view.
 func (h *History) SetLiar(p LiarPolicy) {
@@ -131,9 +127,9 @@ func (h *History) PendingLen() int { return len(h.pend.rows) }
 
 // PendingHash returns an order-independent digest of the pending set:
 // 0 when empty, and any add/remove round-trip restores the previous
-// value. Composed with Generation it keys every pending-aware cache
-// (model fits, scratch scores) — equal (generation, hash) pairs mean
-// the fantasized history is unchanged.
+// value. Composed with Generation it keys every pending-aware model
+// fit — equal (generation, hash) pairs mean the fantasized history is
+// unchanged.
 func (h *History) PendingHash() uint64 { return h.pendHash }
 
 // Fantasized returns the history the engines should fit when pending

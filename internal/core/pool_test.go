@@ -304,7 +304,7 @@ func TestGridPoolMatchesRowPool(t *testing.T) {
 		return keys, at.DuplicateSuggestions()
 	}
 	script := func(t *testing.T, sp *space.Space, opts Options) ([]string, int64) {
-		return runPendingScript(t, sp, leaseTestValue, opts, false)
+		return runPendingScript(t, sp, leaseTestValue, opts)
 	}
 	runs := []struct {
 		name string

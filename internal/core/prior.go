@@ -35,17 +35,5 @@ func NewPrior(src *History, cfg SurrogateConfig) (*Prior, error) {
 	return &Prior{sp: src.Space(), good: s.good, bad: s.bad}, nil
 }
 
-// PriorFromObservations is a convenience wrapper assembling a history
-// from raw observations and building the prior from it.
-func PriorFromObservations(sp *space.Space, obs []Observation, cfg SurrogateConfig) (*Prior, error) {
-	h := NewHistory(sp)
-	for _, o := range obs {
-		if err := h.Add(o.Config, o.Value); err != nil {
-			return nil, err
-		}
-	}
-	return NewPrior(h, cfg)
-}
-
 // Space returns the source-domain space the prior was built over.
 func (p *Prior) Space() *space.Space { return p.sp }

@@ -13,7 +13,7 @@ import (
 // product — fine at the paper's table sizes (≤ ~32k grid points),
 // impossible at the 10^6–10^9-point spaces the service targets. Two
 // replacements, selected in NewTuner: pool-requiring engines get a
-// SampledPool (a capped, uniform-over-valid sample of the grid), and
+// sampled pool (one capped, uniform-over-valid draw of the grid), and
 // the default TPE path switches to the "sampling" engine, which needs
 // no pool at all — it draws candidates from the fitted good density
 // pg and ranks them by pg/pb (Proposal's acquirer at a larger draw
@@ -52,104 +52,44 @@ func gridSizeString(sp *space.Space) string {
 	return fmt.Sprintf("%d", grid)
 }
 
-// SampledPool caps a pool-backed engine's candidate set on spaces too
-// large to enumerate: K distinct configurations drawn uniformly over
-// the valid grid by index-space rejection sampling (draw a uniform
-// grid index, decode it, keep it if the constraint admits it). Memory
-// is O(K) regardless of the grid size. Refresh redraws the set, so
-// long sessions are not forever limited to the first K-candidate
-// horizon.
-type SampledPool struct {
-	sp   *space.Space
-	cap  int
-	rng  *stats.RNG
-	pool *Pool
-
-	// exhausted counts draws that hit the retry bound before filling
-	// the cap: the pool was returned short (≥ 2 candidates) because the
-	// constraint or the exclusions rejected almost every index drawn.
-	// Surfaced through Tuner.PoolExhaustedRetries so operators see a
-	// too-restrictive constraint instead of a silently small pool.
-	exhausted int64
-}
-
-// NewSampledPool draws the initial candidate set. cap 0 means
-// DefaultPoolCap. The RNG is retained for Refresh; all draws come
-// from it in a deterministic order, so a caller that reconstructs the
-// tuner with the same seed (e.g. a journal replay) rebuilds the exact
-// same pool.
-func NewSampledPool(sp *space.Space, cap int, rng *stats.RNG) (*SampledPool, error) {
-	if !sp.AllDiscrete() {
-		return nil, fmt.Errorf("core: sampled pools need a fully discrete space")
-	}
+// sampledPool draws the candidate pool of a pool-backed engine on a
+// space too large to enumerate: up to cap distinct configurations
+// (0 means DefaultPoolCap) drawn uniformly over the valid grid by
+// index-space rejection sampling (draw a uniform grid index, decode
+// it, keep it if the constraint admits it). Memory is O(cap)
+// regardless of the grid size. The draws come from rng in a fixed
+// order, so a tuner rebuilt with the same seed (a journal replay)
+// rebuilds the same pool. A short pool (at least 2) is accepted when
+// the constraint leaves little else, and short reports it: the draw
+// hit its retry bound before filling the cap, which
+// Tuner.PoolExhaustedRetries surfaces so operators see a
+// too-restrictive constraint instead of a silently small pool.
+func sampledPool(sp *space.Space, cap int, rng *stats.RNG) (pool *Pool, short bool, err error) {
 	if cap == 0 {
 		cap = DefaultPoolCap
 	}
 	if cap < 2 {
-		return nil, fmt.Errorf("core: sampled pool cap %d too small (need >= 2)", cap)
+		return nil, false, fmt.Errorf("core: sampled pool cap %d too small (need >= 2)", cap)
 	}
-	s := &SampledPool{sp: sp, cap: cap, rng: rng}
-	if err := s.Refresh(nil); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Refresh replaces the candidate pool with a fresh draw, skipping
-// configurations the exclude predicate rejects (typically: already
-// evaluated).
-func (s *SampledPool) Refresh(exclude func(space.Config) bool) error {
-	cands, err := s.draw(exclude)
-	if err != nil {
-		return err
-	}
-	pool, err := NewPool(s.sp, cands)
-	if err != nil {
-		return err
-	}
-	s.pool = pool
-	return nil
-}
-
-// Pool returns the current candidate pool; Refresh swaps it for a new
-// one rather than mutating it.
-func (s *SampledPool) Pool() *Pool { return s.pool }
-
-// draw collects up to cap distinct valid configurations by rejection
-// sampling uniform grid indices. A short set (at least 2) is accepted
-// when the constraint or the exclusions leave little else; an
-// essentially-empty valid set is an error.
-func (s *SampledPool) draw(exclude func(space.Config) bool) ([]space.Config, error) {
-	grid, ok := s.sp.GridSize64()
-	maxTries := 1000 * s.cap
+	grid, ok := sp.GridSize64()
+	maxTries := 1000 * cap
 	if maxTries < 1<<20 {
 		maxTries = 1 << 20
 	}
-	set := newConfigSet(newIdentity(s.sp), s.cap)
-	set.rows = make([]space.Config, 0, s.cap)
-	for tries := 0; tries < maxTries && len(set.rows) < s.cap; tries++ {
-		c := s.sp.FromGridIndex64(randGridIndex(s.rng, grid, ok))
-		if !s.sp.Valid(c) {
-			continue
+	set := newConfigSet(newIdentity(sp), cap)
+	set.rows = make([]space.Config, 0, cap)
+	for tries := 0; tries < maxTries && len(set.rows) < cap; tries++ {
+		c := sp.FromGridIndex64(randGridIndex(rng, grid, ok))
+		if sp.Valid(c) {
+			set.add(c, set.id.hash(c))
 		}
-		if exclude != nil && exclude(c) {
-			continue
-		}
-		set.add(c, set.id.hash(c))
 	}
-	out := set.rows
-	if len(out) < 2 {
-		return nil, fmt.Errorf("core: sampled pool found only %d valid configurations in %d draws (constraint too restrictive?)", len(out), maxTries)
+	if len(set.rows) < 2 {
+		return nil, false, fmt.Errorf("core: sampled pool found only %d valid configurations in %d draws (constraint too restrictive?)", len(set.rows), maxTries)
 	}
-	if len(out) < s.cap {
-		s.exhausted++
-	}
-	return out, nil
+	pool, err = NewPool(sp, set.rows)
+	return pool, len(set.rows) < cap, err
 }
-
-// ExhaustedRetries reports how many draws (initial and Refresh) hit
-// the retry bound and returned a pool smaller than the cap.
-func (s *SampledPool) ExhaustedRetries() int64 { return s.exhausted }
 
 // randGridIndex draws a uniform index in [0, grid). gridOK=false
 // means the true grid size exceeds 2^64, so every uint64 is inside

@@ -133,70 +133,13 @@ func TestSmallSpaceRoutingUnchanged(t *testing.T) {
 	}
 }
 
-func TestRefreshPool(t *testing.T) {
-	tn, err := NewTuner(largeTestSpace(), largeTestObjective, Options{
-		Seed: 3, InitialSamples: 4, Engine: "ranking", PoolCap: 32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tn.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	old := tn.pool
-	if err := tn.RefreshPool(); err != nil {
-		t.Fatal(err)
-	}
-	if tn.pool == old {
-		t.Fatal("RefreshPool did not swap the pool")
-	}
-	for i := 0; i < tn.pool.Size(); i++ {
-		if c := tn.pool.Candidate(i); tn.History().Contains(c) {
-			t.Fatalf("refreshed pool contains evaluated config %v", c)
-		}
-	}
-	// Selection keeps working against the refreshed pool.
-	if _, err := tn.Run(16); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRefreshPoolErrors(t *testing.T) {
-	// Enumerated pool: nothing to refresh.
-	sp := space.New(space.DiscreteInts("a", 0, 1, 2), space.DiscreteInts("b", 0, 1))
-	tn, err := NewTuner(sp, largeTestObjective, Options{Seed: 1, InitialSamples: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tn.RefreshPool(); err == nil {
-		t.Fatal("RefreshPool on an enumerated pool did not error")
-	}
-	// Pool-bound engine: refresh must refuse.
-	spec, ok := LookupEngine("sampling")
-	if !ok || spec.Pool != PoolUnused {
-		t.Fatalf("sampling engine misregistered: %+v ok=%v", spec, ok)
-	}
-	tn2, err := NewTuner(largeTestSpace(), largeTestObjective, Options{
-		Seed: 1, InitialSamples: 4, Engine: "ranking", PoolCap: 32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn2.poolBound = true // simulate a gp/geist-style registration
-	if err := tn2.RefreshPool(); err == nil {
-		t.Fatal("RefreshPool on a pool-bound engine did not error")
-	}
-}
-
 func TestSampledPoolDistinctAndBounded(t *testing.T) {
-	rng := stats.NewRNG(11)
 	sp := largeTestSpace()
-	sampled, err := NewSampledPool(sp, 512, rng)
+	p, short, err := sampledPool(sp, 512, stats.NewRNG(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := sampled.Pool()
-	if p.Size() != 512 {
+	if short || p.Size() != 512 {
 		t.Fatalf("pool size = %d, want 512", p.Size())
 	}
 	seen := make(map[string]bool, p.Size())

@@ -107,16 +107,15 @@ type Tuner struct {
 	rng     *stats.RNG
 	history *History
 
-	pool      *Pool        // nil for pool-less engines
-	sampled   *SampledPool // non-nil when pool is a capped sample of the grid
-	poolBound bool         // engine bound pool state at construction (no refresh)
+	pool      *Pool // nil for pool-less engines
+	sampled   bool  // pool is a capped sample of an oversized grid
+	poolShort bool  // the sample hit its retry bound short of the cap
 	engine    string
 	model     Model
 	acquirer  Acquirer
 	iter      int
 
-	acq     Acquisition // reused per-acquisition view (no per-Ask alloc)
-	scratch Scratch     // reusable buffers + generation-keyed caches
+	acq Acquisition // reused per-acquisition view (no per-Ask alloc)
 }
 
 // NewTuner validates the options and prepares a tuner. The objective
@@ -148,7 +147,7 @@ func NewTuner(sp *space.Space, obj Objective, opts Options) (*Tuner, error) {
 	// Large-space mode: a discrete grid past the enumerate limit is
 	// never materialized. The default TPE choice becomes the pool-free
 	// "sampling" engine; explicitly requested pool-backed engines get a
-	// capped SampledPool below.
+	// capped sampled pool below.
 	largeGrid := opts.Candidates == nil && sp.AllDiscrete() && gridTooLarge(sp)
 	if largeGrid && defaulted && name == Ranking && opts.PoolCap >= 0 {
 		name = "sampling"
@@ -159,13 +158,12 @@ func NewTuner(sp *space.Space, obj Objective, opts Options) (*Tuner, error) {
 			name, strings.Join(EngineNames(), ", "))
 	}
 	t := &Tuner{
-		sp:        sp,
-		obj:       obj,
-		opts:      opts,
-		rng:       stats.NewRNG(opts.Seed),
-		history:   NewHistory(sp),
-		engine:    name,
-		poolBound: spec.PoolBound,
+		sp:      sp,
+		obj:     obj,
+		opts:    opts,
+		rng:     stats.NewRNG(opts.Seed),
+		history: NewHistory(sp),
+		engine:  name,
 	}
 	t.history.SetLiar(liar)
 	buildPool := spec.Pool == PoolRequired ||
@@ -183,12 +181,8 @@ func NewTuner(sp *space.Space, obj Objective, opts Options) (*Tuner, error) {
 				return nil, fmt.Errorf("core: engine %q needs a candidate pool but the grid has %s points (enumerate limit %d): raise Options.PoolCap to sample one, or pass Options.Candidates",
 					name, gridSizeString(sp), DefaultEnumerateLimit)
 			}
-			sampled, err := NewSampledPool(sp, opts.PoolCap, t.rng)
-			if err != nil {
-				return nil, err
-			}
-			t.sampled = sampled
-			t.pool = sampled.Pool()
+			t.pool, t.poolShort, err = sampledPool(sp, opts.PoolCap, t.rng)
+			t.sampled = true
 		case cands == nil:
 			t.pool, err = newGridPool(sp)
 		default:
@@ -259,8 +253,8 @@ func (t *Tuner) InitialSamples() int { return t.opts.InitialSamples }
 func (t *Tuner) Best() Observation { return t.history.Best() }
 
 // acquisition assembles the per-call view handed to the Acquirer,
-// reusing one Acquisition struct and the tuner's scratch buffers so
-// the steady-state path allocates nothing.
+// reusing one Acquisition struct so the steady-state path allocates
+// nothing.
 func (t *Tuner) acquisition() *Acquisition {
 	t.acq = Acquisition{
 		Space:            t.sp,
@@ -270,7 +264,6 @@ func (t *Tuner) acquisition() *Acquisition {
 		RNG:              t.rng,
 		Parallelism:      t.opts.Parallelism,
 		CandidateSamples: t.opts.CandidateSamples,
-		Scratch:          &t.scratch,
 	}
 	return &t.acq
 }
@@ -307,7 +300,6 @@ func (t *Tuner) Step() (Observation, error) {
 		return Observation{}, err
 	}
 	t.markEvaluated(c)
-	t.model.Observe(obs)
 	if t.opts.OnStep != nil {
 		t.opts.OnStep(t.iter, obs)
 	}
@@ -396,43 +388,21 @@ func (t *Tuner) markEvaluated(c space.Config) {
 // 0 when the tuner runs on an enumerated pool or no pool at all — the
 // observable guarantee that large-space memory is bounded by the cap.
 func (t *Tuner) SampledPoolSize() int {
-	if t.sampled == nil {
+	if !t.sampled {
 		return 0
 	}
-	return t.sampled.Pool().Size()
+	return t.pool.Size()
 }
 
-// PoolExhaustedRetries reports how many times the sampled pool's
-// rejection sampling hit its retry bound and settled for a pool
-// smaller than the cap — the observable signal (surfaced in
-// SessionInfo and /metrics) that a constraint rejects most of the
-// grid, instead of a silently short pool. 0 when the tuner has no
-// sampled pool.
+// PoolExhaustedRetries reports 1 when the sampled pool's rejection
+// sampling hit its retry bound and settled for a pool smaller than the
+// cap — the observable signal (surfaced in SessionInfo and /metrics)
+// that a constraint rejects most of the grid, instead of a silently
+// short pool — and 0 otherwise, including when the tuner has no
+// sampled pool. The pool is drawn once, in NewTuner.
 func (t *Tuner) PoolExhaustedRetries() int64 {
-	if t.sampled == nil {
-		return 0
+	if t.poolShort {
+		return 1
 	}
-	return t.sampled.ExhaustedRetries()
-}
-
-// RefreshPool redraws the sampled candidate pool (excluding evaluated
-// configurations) so a long session explores beyond the initial cap's
-// horizon. It errors when the tuner has no sampled pool, or when the
-// engine bound pool state at construction (gp, geist) and so cannot
-// follow a swap.
-func (t *Tuner) RefreshPool() error {
-	if t.sampled == nil {
-		return fmt.Errorf("core: RefreshPool without a sampled pool (engine %q)", t.engine)
-	}
-	if t.poolBound {
-		return fmt.Errorf("core: engine %q binds its candidate pool at construction and cannot refresh it", t.engine)
-	}
-	if err := t.sampled.Refresh(func(c space.Config) bool { return t.history.Contains(c) }); err != nil {
-		return err
-	}
-	t.pool = t.sampled.Pool()
-	// The scratch score/rank caches are keyed by history generation,
-	// which a pool swap does not bump — drop them explicitly.
-	t.scratch.invalidate()
-	return nil
+	return 0
 }

@@ -19,10 +19,9 @@ import (
 
 func init() {
 	core.RegisterEngine(core.EngineSpec{
-		Name:      "geist",
-		Pool:      core.PoolRequired,
-		PoolBound: true,
-		New:       newEngine,
+		Name: "geist",
+		Pool: core.PoolRequired,
+		New:  newEngine,
 	})
 }
 
@@ -119,9 +118,6 @@ func (m *camlpModel) Fit(h *core.History) error {
 	m.beliefs = m.solver.Propagate(m.g, labels)
 	return nil
 }
-
-// Observe is a no-op; Fit re-propagates from the full history.
-func (m *camlpModel) Observe(core.Observation) {}
 
 // Score returns the propagated optimal-belief of c (-Inf for
 // configurations outside the pool or before the first fit).

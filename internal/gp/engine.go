@@ -24,10 +24,9 @@ import (
 
 func init() {
 	core.RegisterEngine(core.EngineSpec{
-		Name:      "gp",
-		Pool:      core.PoolRequired,
-		PoolBound: true,
-		New:       newEngine,
+		Name: "gp",
+		Pool: core.PoolRequired,
+		New:  newEngine,
 	})
 }
 
@@ -166,9 +165,6 @@ func (m *eiModel) Fit(h *core.History) error {
 	m.fitHist, m.fitGen, m.pendHash, m.fitted = h, gen, pend, true
 	return nil
 }
-
-// Observe is a no-op; Fit folds new observations from the history.
-func (m *eiModel) Observe(core.Observation) {}
 
 // view materializes the fitted posterior as a GP for off-pool
 // queries; it shares the trainer's factor and the model's buffers.

@@ -265,10 +265,11 @@ func warmGPTuner(t testing.TB, evals int) *core.Tuner {
 
 // TestGPSelectBatchNoAllocs is the allocation guard for the warm ask
 // path: with the history unchanged since the last fit, a k=1 ranking
-// selection through the gp engine must not allocate.
+// selection through the gp engine copies the cached EI of the whole
+// pool into the acquirer's buffer, rescans it, and must not allocate.
 func TestGPSelectBatchNoAllocs(t *testing.T) {
 	tn := warmGPTuner(t, 40)
-	if _, err := tn.SelectBatch(1); err != nil { // warm the caches
+	if _, err := tn.SelectBatch(1); err != nil { // size the buffers
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {

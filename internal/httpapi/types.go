@@ -28,19 +28,21 @@ type SessionOptions struct {
 	// parameters. Unknown names fail session creation with 400.
 	Strategy string `json:"strategy,omitempty"`
 	// ProposalCandidates is a deprecated alias of CandidateSamples,
-	// used when candidate_samples is 0. Negative values fail session
-	// creation with 400.
+	// used when candidate_samples is 0. Negative values, and values
+	// above 2^20, fail session creation with 400.
 	ProposalCandidates int `json:"proposal_candidates,omitempty"`
 	// PoolCap bounds the sampled candidate pool on spaces too large
 	// to enumerate: 0 uses the server default, > 0 caps the pool, < 0
 	// disables large-space mode (oversized spaces then fail creation
-	// with 400 for pool-backed strategies). See core.Options.PoolCap.
+	// with 400 for pool-backed strategies). A cap above 2^20, the
+	// enumerate limit, fails session creation with 400. See
+	// core.Options.PoolCap.
 	PoolCap int `json:"pool_cap,omitempty"`
 	// CandidateSamples is the good-density draw count per pick of the
 	// pool-free TPE engines ("proposal", "sampling", "grouped", and
 	// "motpe" without a pool). 0 keeps the engine's own count: 100 for
-	// proposal and motpe, 1 024 otherwise. Negative values fail
-	// session creation with 400.
+	// proposal and motpe, 1 024 otherwise. Negative values, and values
+	// above 2^20, fail session creation with 400.
 	CandidateSamples int `json:"candidate_samples,omitempty"`
 	// Quantile is α, the good fraction of the history.
 	Quantile float64 `json:"quantile,omitempty"`
@@ -48,7 +50,8 @@ type SessionOptions struct {
 	Smoothing float64 `json:"smoothing,omitempty"`
 	// Bandwidth is the KDE bandwidth (<= 0 selects Scott's rule).
 	Bandwidth float64 `json:"bandwidth,omitempty"`
-	// Bins discretizes continuous densities for importance analysis.
+	// Bins discretizes continuous densities for importance analysis
+	// (0 = 20). Values above 1 024 fail session creation with 400.
 	Bins int `json:"bins,omitempty"`
 	// Objectives names the session's objectives, each a registered
 	// objective name ("p95_latency_ms", "cost", ...) or a weighted-sum
@@ -229,11 +232,11 @@ type SessionInfo struct {
 	DuplicateSuggestions int64             `json:"duplicate_suggestions,omitempty"`
 	Best                 *Result           `json:"best,omitempty"`
 	Importance           []ImportanceEntry `json:"importance,omitempty"`
-	// PoolExhaustedRetries counts sampled-pool draws (initial and
-	// refresh) that hit their rejection-sampling retry bound and
-	// returned a pool smaller than the cap — a sign the space
-	// constraint rejects almost everything. Zero on sessions without a
-	// sampled pool.
+	// PoolExhaustedRetries is 1 when the session's sampled pool, drawn
+	// once at create, hit its rejection-sampling retry bound and came
+	// out smaller than the cap — a sign the space constraint rejects
+	// almost everything — and 0 otherwise, including on sessions
+	// without a sampled pool.
 	PoolExhaustedRetries int64  `json:"pool_exhausted_retries,omitempty"`
 	CreatedAt            string `json:"created_at,omitempty"`
 	// SnapshotEvents counts the observations compacted into the
@@ -384,7 +387,8 @@ type MetricsResponse struct {
 	// sessions: candidates re-issued after their lease expired.
 	DuplicateSuggestions int64 `json:"duplicate_suggestions"`
 	// PoolExhaustedRetries sums SessionInfo.PoolExhaustedRetries over
-	// live sessions: sampled-pool draws that hit their retry bound.
+	// live sessions: the sessions whose one sampled-pool draw hit its
+	// retry bound.
 	PoolExhaustedRetries int64 `json:"pool_exhausted_retries"`
 	// HeapAllocMB is the daemon's live heap in MiB at snapshot time —
 	// the per-node memory column of multi-node experiments.

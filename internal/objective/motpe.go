@@ -94,9 +94,6 @@ func (m *motpeModel) Fit(h *core.History) error {
 	return nil
 }
 
-// Observe is a no-op: Fit rebuilds from the full history.
-func (m *motpeModel) Observe(core.Observation) {}
-
 // Score returns log pg(c) − log pb(c) under the Pareto split.
 func (m *motpeModel) Score(c space.Config) float64 { return m.s.Score(c) }
 

@@ -12,14 +12,15 @@ import (
 )
 
 // FuzzSessionOptions decodes session options as the create handler
-// does and runs them through the checks newSession makes before it
-// writes a journal header: coreOptions, objective.ParseSet and
-// core.ValidateGroups. Options all three accept build a tuner on
+// does and runs them through the checks create makes before it writes
+// a journal header: checkCountBounds, coreOptions, objective.ParseSet
+// and core.ValidateGroups. Options all four accept build a tuner on
 // testSpace, which must serve one Ask(1). The oracle: nothing panics;
-// no negative count gets past the checks and NewTuner; and a positive
-// proposal_candidates, the deprecated alias, yields the core.Options
-// that candidate_samples yields. The seeds are the option literals of
-// the server tests.
+// no negative count, and no count above its bound, gets past the
+// checks and NewTuner; and a positive proposal_candidates, the
+// deprecated alias, yields the core.Options that candidate_samples
+// yields. The seeds are the option literals of the server tests, plus
+// one count just past each bound.
 func FuzzSessionOptions(f *testing.F) {
 	for _, o := range []httpapi.SessionOptions{
 		{Seed: 1, InitialSamples: 2},
@@ -40,6 +41,10 @@ func FuzzSessionOptions(f *testing.F) {
 		{Seed: 4, InitialSamples: 6, Strategy: "proposal", CandidateSamples: 37},
 		{Strategy: "proposal", ProposalCandidates: -1},
 		{CandidateSamples: -1},
+		{Strategy: "ranking", PoolCap: core.DefaultEnumerateLimit + 1},
+		{Strategy: "proposal", CandidateSamples: core.DefaultEnumerateLimit + 1},
+		{Strategy: "proposal", ProposalCandidates: core.DefaultEnumerateLimit + 1},
+		{Bins: maxBins + 1},
 	} {
 		data, err := json.Marshal(o)
 		if err != nil {
@@ -68,6 +73,9 @@ func FuzzSessionOptions(f *testing.F) {
 			}
 		}
 		if err == nil {
+			err = checkCountBounds(o)
+		}
+		if err == nil {
 			_, err = objective.ParseSet(o.Objectives)
 		}
 		if err == nil {
@@ -80,6 +88,13 @@ func FuzzSessionOptions(f *testing.F) {
 		if o.InitialSamples < 0 || o.CandidateSamples < 0 || o.ProposalCandidates < 0 || o.Bins < 0 {
 			if err == nil {
 				t.Fatalf("options %s with a negative count were accepted", data)
+			}
+			return
+		}
+		if o.PoolCap > core.DefaultEnumerateLimit || o.CandidateSamples > core.DefaultEnumerateLimit ||
+			o.ProposalCandidates > core.DefaultEnumerateLimit || o.Bins > maxBins {
+			if err == nil {
+				t.Fatalf("options %s with a count above its bound were accepted", data)
 			}
 			return
 		}

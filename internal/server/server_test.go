@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/httpapi"
@@ -415,5 +416,64 @@ func TestCreateRejectsBadInput(t *testing.T) {
 		Space: testSpaceJSON(t), Options: httpapi.SessionOptions{Strategy: "genetic"},
 	}, nil); code != http.StatusBadRequest {
 		t.Fatalf("create with bad strategy: HTTP %d", code)
+	}
+}
+
+// TestCreateRejectsOversizedCounts sends, over a real HTTP server,
+// creates whose counts would size an allocation past any useful value:
+// a pool_cap NewTuner cannot allocate (it would panic while the store
+// holds a shard lock), and a candidate_samples and a bins that every
+// later suggest or status publish could not. Each must be a 400, and
+// the daemon must stay live: /healthz answers within 2 s.
+func TestCreateRejectsOversizedCounts(t *testing.T) {
+	srv, store := newTestServer(t, "")
+	ts := httptest.NewServer(srv)
+	client := &http.Client{Timeout: 2 * time.Second}
+	binary := make([]space.Param, 21) // 2^21 points: past the enumerate limit
+	for i := range binary {
+		binary[i] = space.DiscreteInts(fmt.Sprintf("p%d", i), 0, 1)
+	}
+	const huge = 1 << 62
+	for _, probe := range []struct {
+		name string
+		sp   *space.Space
+		opts httpapi.SessionOptions
+	}{
+		{"pool_cap", space.New(binary...), httpapi.SessionOptions{Strategy: "ranking", PoolCap: huge}},
+		{"candidate_samples", testSpace(), httpapi.SessionOptions{CandidateSamples: huge}},
+		{"bins", space.New(space.Continuous("x", 0, 1), space.DiscreteInts("y", 0, 1, 2)),
+			httpapi.SessionOptions{Bins: huge}},
+	} {
+		spaceJSON, err := json.Marshal(probe.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(httpapi.CreateSessionRequest{Space: spaceJSON, Options: probe.opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("create with %s %d: %v", probe.name, huge, err)
+			continue
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("create with %s %d: HTTP %d, want 400", probe.name, huge, resp.StatusCode)
+		}
+	}
+	resp, err := client.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz after the probes: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the probes: HTTP %d", resp.StatusCode)
+	}
+	// Closed only once healthz has answered: Close waits for every
+	// handler, and a handler blocked on a held lock never returns.
+	ts.Close()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -392,6 +392,9 @@ func (st *Store) CreateWithSpace(name string, sp *space.Space, spaceJSON json.Ra
 		// scalarized value) is never overridden.
 		opts.Strategy = "motpe"
 	}
+	if err := checkCountBounds(opts); err != nil {
+		return nil, err
+	}
 	id := name
 	if id == "" {
 		id = newID()
@@ -966,6 +969,34 @@ func coreOptions(o httpapi.SessionOptions) (core.Options, error) {
 	}
 	opts.Engine = name
 	return opts, nil
+}
+
+// maxBins bounds the bins option at create: 50 times the default of
+// 20, far below the counts whose histograms cannot be allocated.
+const maxBins = 1024
+
+// checkCountBounds rejects, at create, the counts that size an
+// allocation past any useful value: pool_cap, candidate_samples and
+// its alias proposal_candidates above core.DefaultEnumerateLimit, and
+// bins above maxBins. Unbounded, they fail an allocation (a panic) in
+// NewTuner, in every model-phase suggest or in every status publish.
+// Resume does not check, so journals written without the bounds still
+// boot.
+func checkCountBounds(o httpapi.SessionOptions) error {
+	for _, c := range []struct {
+		name   string
+		n, max int
+	}{
+		{"pool_cap", o.PoolCap, core.DefaultEnumerateLimit},
+		{"candidate_samples", o.CandidateSamples, core.DefaultEnumerateLimit},
+		{"proposal_candidates", o.ProposalCandidates, core.DefaultEnumerateLimit},
+		{"bins", o.Bins, maxBins},
+	} {
+		if c.n > c.max {
+			return fmt.Errorf("server: %s %d above its bound %d", c.name, c.n, c.max)
+		}
+	}
+	return nil
 }
 
 // coreSurrogateConfig extracts the surrogate hyperparameters.
