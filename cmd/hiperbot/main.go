@@ -177,6 +177,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "hiperbot:", err)
 			os.Exit(1)
 		}
+		if recorder != nil {
+			recorder.ResumeObs(tn.History().Observations())
+		}
 		fmt.Printf("resumed %d evaluations from %s\n", tn.Evaluations(), *resumePath)
 	}
 	best, err := tn.Run(*budget)

@@ -322,9 +322,12 @@ func (r *rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error)
 	ScoreAllInto(a.Model, batch, a.Parallelism, scores)
 
 	if k == 1 {
-		// Argmax over the remaining pool net of leases, ties broken by
-		// pool order — exactly the paper's per-iteration selection
-		// (with no lease live the scan is the original argmax).
+		// Argmax over the remaining pool net of leases — exactly the
+		// paper's per-iteration selection (with no lease live the scan
+		// is the original argmax). A tie keeps the first maximum in
+		// Pool.Remaining() order, which is swap-removal order, not the
+		// smallest candidate index; batch mode below ranks ties by
+		// index instead.
 		best := -1
 		for i := 0; i < len(rem); i++ {
 			if a.Leased.HasIndex(rem[i]) {

@@ -21,13 +21,14 @@ import (
 // name→label map), the measured value (plus its raw metrics when the
 // observation carried any), and the best value so far.
 type Recorder struct {
-	mu   sync.Mutex
-	enc  *json.Encoder
-	sp   *space.Space
-	dir  Direction
-	best float64
-	n    int
-	err  error
+	mu      sync.Mutex
+	enc     *json.Encoder
+	sp      *space.Space
+	dir     Direction
+	best    float64
+	started bool // best holds a value: an event was recorded or a history resumed
+	n       int
+	err     error
 }
 
 // RecorderEvent is the JSONL schema of one evaluation. Metrics and
@@ -53,15 +54,35 @@ func NewRecorder(w io.Writer, sp *space.Space) *Recorder {
 }
 
 // SetDirection switches best-so-far tracking to the given objective
-// direction. It must be called before the first event; afterwards the
-// running best would be stale under the new sense.
+// direction. It must be called before the first event or resumed
+// history; afterwards the running best would be stale under the new
+// sense.
 func (r *Recorder) SetDirection(d Direction) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n > 0 {
-		panic("core: Recorder.SetDirection after events were recorded")
+	if r.started {
+		panic("core: Recorder.SetDirection after the running best started")
 	}
 	r.dir = d
+}
+
+// ResumeObs starts the running best from a resumed history, so the
+// first event recorded after a resume reports the history's best when
+// that is better than its own value. Call it where the history is
+// replayed into the tuner (Tuner.ResumeObs); it writes nothing.
+func (r *Recorder) ResumeObs(obs []Observation) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, o := range obs {
+		r.trackLocked(o.Value)
+	}
+}
+
+// trackLocked folds v into the running best.
+func (r *Recorder) trackLocked(v float64) {
+	if !r.started || r.dir.Better(v, r.best) {
+		r.best, r.started = v, true
+	}
 }
 
 // OnStep is an Options.OnStep callback. Write errors are sticky and
@@ -69,22 +90,11 @@ func (r *Recorder) SetDirection(d Direction) {
 func (r *Recorder) OnStep(iteration int, obs Observation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n == 0 || r.dir.Better(obs.Value, r.best) {
-		r.best = obs.Value
-	}
+	r.trackLocked(obs.Value)
 	r.n++
-	cfg := make(map[string]string, r.sp.NumParams())
-	for i := 0; i < r.sp.NumParams(); i++ {
-		p := r.sp.Param(i)
-		if p.Kind == space.DiscreteKind {
-			cfg[p.Name] = p.Level(int(obs.Config[i]))
-		} else {
-			cfg[p.Name] = fmt.Sprintf("%g", obs.Config[i])
-		}
-	}
 	if err := r.enc.Encode(RecorderEvent{
 		Iteration:  iteration,
-		Config:     cfg,
+		Config:     r.sp.Labels(obs.Config),
 		Value:      obs.Value,
 		Metrics:    obs.Metrics,
 		Objectives: obs.Objectives,

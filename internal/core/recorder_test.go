@@ -88,6 +88,36 @@ func TestRecorderZeroValueMinimizes(t *testing.T) {
 	}
 }
 
+// TestRecorderResumeObsStartsRunningBest: after ResumeObs the first
+// recorded event reports the resumed history's best, not its own worse
+// value, and events count only what this recorder wrote.
+func TestRecorderResumeObsStartsRunningBest(t *testing.T) {
+	sp := histSpace()
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf, sp)
+	rec.ResumeObs([]Observation{
+		{Config: space.Config{0, 0}, Value: 4},
+		{Config: space.Config{0, 0}, Value: 1},
+		{Config: space.Config{0, 0}, Value: 3},
+	})
+	for i, v := range []float64{9, 0.5, 2} {
+		rec.OnStep(3+i, Observation{Config: space.Config{0, 0}, Value: v})
+	}
+	events, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBest := []float64{1, 0.5, 0.5}
+	for i, ev := range events {
+		if ev.BestSoFar != wantBest[i] {
+			t.Fatalf("resumed best_so_far[%d] = %v, want %v", i, ev.BestSoFar, wantBest[i])
+		}
+	}
+	if rec.Events() != 3 {
+		t.Fatalf("events = %d, want 3", rec.Events())
+	}
+}
+
 func TestRecorderMaximizeDirection(t *testing.T) {
 	sp := histSpace()
 	var buf bytes.Buffer

@@ -228,9 +228,3 @@ func (st *Store) loadSessionState(id string) (*sessionState, error) {
 		return nil, fmt.Errorf("%w: %s", errUnresumable, jpath)
 	}
 }
-
-// openJournal opens (creating if needed) a session's journal file for
-// appending.
-func openJournal(path string) (*os.File, error) {
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}

@@ -282,8 +282,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) (int, err
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
-	// WithSession retries when eviction races the call: the stale
-	// handle's Suggest fails with ErrEvicted and the retry rehydrates.
+	// Suggest rehydrates an evicted session in place under its lock.
 	var resp httpapi.SuggestResponse
 	err = s.store.WithSession(r.PathValue("id"), func(sess *Session) error {
 		picks, phase, err := sess.Suggest(count, ttl)
@@ -383,10 +382,11 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) (int, err
 	}
 	var resp httpapi.ObserveResponse
 	var badReq error
-	// The retry contract is safe for half-applied batches: ObserveResult
-	// is idempotent (already-recorded configs count as duplicates), so a
-	// batch interrupted by eviction simply re-tells its prefix on the
-	// rehydrated session.
+	// Each ObserveResult takes the session lock on its own, so eviction
+	// may run between two results of a batch; the next result then
+	// rehydrates the session in place, with every earlier result in its
+	// snapshot. A client retry of a failed batch is safe: already-recorded
+	// configs count as duplicates.
 	err := s.store.WithSession(r.PathValue("id"), func(sess *Session) error {
 		// Parse and validate every configuration up front so a malformed
 		// entry rejects the whole batch instead of half-applying it.

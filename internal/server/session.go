@@ -18,17 +18,21 @@ import (
 
 // Session is one named tuning campaign hosted by the daemon: a Tuner
 // wrapped in lease bookkeeping (core.AskTell), guarded by a per-session
-// RWMutex so suggest/observe calls from many workers interleave
-// safely, and journaled to a JSONL file so a restarted daemon resumes
-// it without losing evaluations.
+// mutex so suggest/observe calls from many workers interleave safely,
+// and journaled to a JSONL file so a restarted daemon resumes it
+// without losing evaluations.
 //
-// The lock is split in two tiers: mutations (Suggest, Observe) take
-// the write lock and republish an immutable info snapshot on the way
-// out, while readers (Info, List, /metrics) serve the snapshot
-// lock-free — a status poll never serializes behind a long-running
-// model-guided suggest. Journal appends go through a journalSink with
-// its own mutex, so a slow disk flush doesn't hold the session lock
-// either.
+// Mutations (Suggest, Observe) take the lock and republish an
+// immutable info snapshot on the way out, while readers (Info, List,
+// /metrics) serve the snapshot lock-free — a status poll never
+// serializes behind a long-running model-guided suggest. Journal
+// appends go through a journalSink with its own mutex, so a slow disk
+// flush doesn't hold the session lock either.
+//
+// A Session is the same object from create to delete. Eviction, under
+// the lock, compacts it to its snapshot, drops its tuner and closes its
+// journal; the next call that needs the tuner rehydrates it in place,
+// keeping its space, options, recorder and sink.
 type Session struct {
 	id        string
 	sp        *space.Space
@@ -38,13 +42,11 @@ type Session struct {
 	store     *Store          // owning store (compaction config/paths); nil in tests that build sessions directly
 	spaceJSON json.RawMessage // journaled space document, reused by snapshot/tail headers
 
-	mu sync.RWMutex
-	at *core.AskTell
-	// evicted flips once, under mu, when the store compacts this
-	// session out of memory. Mutating calls that lose the race return
-	// ErrEvicted and the caller retries through Store.WithSession,
-	// which rehydrates a fresh Session from snapshot + tail.
-	evicted bool
+	mu sync.Mutex
+	at *core.AskTell // nil while evicted or once deleted
+	// deleted is set once, under mu, by Delete or a failed create;
+	// calls on the session then return ErrNotFound.
+	deleted bool
 
 	// Snapshot-compaction state (under mu). snapBase counts the events
 	// covered by the on-disk snapshot; the journal holds the rest.
@@ -54,33 +56,86 @@ type Session struct {
 	compactedAt int // evaluation count at the last compaction attempt (retry damper)
 
 	// lastAccess orders sessions for LRU eviction; bumped lock-free on
-	// every store lookup.
+	// every store lookup and rehydration.
 	lastAccess atomic.Int64
 
-	// pins counts in-flight Store.WithSession calls holding this
-	// session. pickVictim skips pinned sessions, so a request can't
-	// have its session evicted out from under it by cap enforcement —
-	// without the pin, a capped store whose other sessions are
-	// lease-protected would deterministically re-evict the session
-	// being rehydrated, livelocking the retry loop.
-	pins atomic.Int64
-
-	// rec and sink are set once at construction and never mutated, so
-	// JournalErr may read them without the session lock (both carry
-	// their own mutexes). Nil for in-memory stores.
+	// rec and sink are set once at construction and never replaced —
+	// the sink reopens its file in place — so JournalErr may read them
+	// without the session lock (both carry their own mutexes). Nil for
+	// in-memory stores.
 	rec  *core.Recorder
 	sink *journalSink
 
 	snap atomic.Pointer[httpapi.SessionInfo]
 }
 
-// ErrEvicted reports that a Session handle went stale because the
-// store compacted the session to its snapshot and dropped it from
-// memory. Callers retry via Store.WithSession, which rehydrates.
-var ErrEvicted = fmt.Errorf("server: session evicted")
-
 // touch records an access for LRU ordering.
 func (s *Session) touch() { s.lastAccess.Store(time.Now().UnixNano()) }
+
+// hydrateLocked makes the session's tuner resident, rehydrating an
+// evicted session in place. A deleted session reports ErrNotFound.
+// Callers hold s.mu.
+func (s *Session) hydrateLocked() error {
+	switch {
+	case s.deleted:
+		return fmt.Errorf("%w: %s", ErrNotFound, s.id)
+	case s.at == nil:
+		return s.store.rehydrateLocked(s)
+	}
+	return nil
+}
+
+// newAskTell builds a fresh tuner for the session's space and options
+// that journals every tell through the session's recorder. The
+// objective lives on the workers' side of the wire; the tuner is only
+// ever driven through Ask/Tell, never Step/Run.
+func (s *Session) newAskTell() (*core.AskTell, error) {
+	opts, err := coreOptions(s.opts)
+	if err != nil {
+		return nil, err
+	}
+	if s.rec != nil {
+		opts.OnStep = s.rec.OnStep
+	}
+	t, err := core.NewTuner(s.sp, func(space.Config) float64 {
+		panic("server: remote session objective must not be called")
+	}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewAskTell(t), nil
+}
+
+// header is the session's journal header for a file whose first event
+// is observation base+1.
+func (s *Session) header(base int) journalHeader {
+	created := s.created.UTC().Format(time.RFC3339)
+	return journalHeader{ID: s.id, Space: s.spaceJSON, Options: s.opts, CreatedAt: created, Base: base}
+}
+
+// writeHeaderLocked opens a new session's journal and writes its
+// create header, durable before the create returns — group commit only
+// ever defers events, never the session's existence. A failed write
+// leaves no journal behind. No-op for in-memory stores. The caller
+// holds s.mu.
+func (s *Session) writeHeaderLocked() error {
+	if s.sink == nil {
+		return nil
+	}
+	path := s.store.journalPath(s.id)
+	if err := s.sink.open(path); err != nil {
+		return err
+	}
+	err := writeHeader(s.sink, s.header(0))
+	if err == nil {
+		err = s.sink.Flush(s.store.cfg.Fsync != FsyncNever)
+	}
+	if err != nil {
+		s.sink.Close()
+		os.Remove(path)
+	}
+	return err
+}
 
 // ID returns the session id.
 func (s *Session) ID() string { return s.id }
@@ -93,8 +148,8 @@ func (s *Session) Space() *space.Space { return s.sp }
 func (s *Session) Suggest(k int, ttl time.Duration) ([]space.Config, string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.evicted {
-		return nil, "", ErrEvicted
+	if err := s.hydrateLocked(); err != nil {
+		return nil, "", err
 	}
 	now := time.Now()
 	phase := phaseName(s.at.InitialPhase())
@@ -113,8 +168,8 @@ func (s *Session) Suggest(k int, ttl time.Duration) ([]space.Config, string, err
 func (s *Session) Renew(configs []space.Config, ttl time.Duration) (renewed int, lost []space.Config, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.evicted {
-		return 0, nil, ErrEvicted
+	if err := s.hydrateLocked(); err != nil {
+		return 0, nil, err
 	}
 	now := time.Now()
 	renewed, lost = s.at.Renew(configs, ttl, now)
@@ -157,8 +212,8 @@ func (s *Session) ObserveResult(c space.Config, value float64, metrics map[strin
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.evicted {
-		return false, ErrEvicted
+	if err := s.hydrateLocked(); err != nil {
+		return false, err
 	}
 	added, err = s.at.TellObs(obs)
 	if err != nil {
@@ -221,13 +276,7 @@ func (s *Session) compactLocked(now time.Time) error {
 	if err := s.sink.Flush(false); err != nil {
 		return err
 	}
-	hdr := journalHeader{
-		ID:        s.id,
-		Space:     s.spaceJSON,
-		Options:   s.opts,
-		CreatedAt: s.created.UTC().Format(time.RFC3339),
-		Base:      n,
-	}
+	hdr := s.header(n)
 	size, err := writeSnapshotFile(st.snapshotPath(s.id), hdr, t.History())
 	if err != nil {
 		return err
@@ -338,11 +387,14 @@ func (s *Session) checkValid(c space.Config) error {
 // taken briefly to refresh the snapshot (importance comes from the
 // generation-cached fit, so a poll between evaluations does no model
 // work); when a mutation holds the lock, the last published snapshot
-// is served as-is — at worst one mutation stale.
+// is served as-is — at worst one mutation stale. An evicted session
+// serves the info it published at eviction and is not rehydrated.
 func (s *Session) Info() httpapi.SessionInfo {
 	if s.mu.TryLock() {
-		s.publishLocked(time.Now())
-		s.mu.Unlock()
+		defer s.mu.Unlock()
+		if s.at != nil {
+			s.publishLocked(time.Now())
+		}
 	}
 	return *s.snap.Load()
 }
@@ -376,7 +428,6 @@ func (s *Session) baseInfoLocked(now time.Time) *httpapi.SessionInfo {
 
 		DuplicateSuggestions: s.at.DuplicateSuggestions(),
 		PoolExhaustedRetries: t.PoolExhaustedRetries(),
-		Evicted:              s.evicted,
 	}
 	if s.snapBase > 0 {
 		info.SnapshotEvents = s.snapBase
@@ -424,8 +475,8 @@ func (s *Session) publishLocked(now time.Time) {
 func (s *Session) Marginals() ([]httpapi.MarginalReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.evicted {
-		return nil, ErrEvicted
+	if err := s.hydrateLocked(); err != nil {
+		return nil, err
 	}
 	if s.at.InitialPhase() {
 		return nil, nil

@@ -47,9 +47,11 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 // It has its own mutex — never the session lock — so a slow disk
 // flush contends with appends only, not with suggest/observe
 // bookkeeping. Write errors are sticky: once an append or flush
-// fails, the sink reports that error forever and drops further
-// appends, so observes fail fast and /healthz degrades instead of
-// events vanishing silently.
+// fails, the sink reports that error and drops further appends until
+// it reopens, so observes fail fast and /healthz degrades instead of
+// events vanishing silently. A sink starts closed; it opens when its
+// session's create header is written, and again each time an evicted
+// session rehydrates.
 type journalSink struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -61,12 +63,29 @@ type journalSink struct {
 	closed  bool
 }
 
-func newJournalSink(f *os.File, limit int, policy FsyncPolicy) *journalSink {
-	s := &journalSink{f: f, limit: limit, policy: policy}
-	if fi, err := f.Stat(); err == nil {
-		s.written = fi.Size() // resumed journals start at their on-disk size
+// open points a closed sink at the journal at path, opened (created if
+// needed) for appending, and clears any error the previous file left.
+func (j *journalSink) open(path string) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
 	}
-	return s
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.setFileLocked(f)
+	j.closed, j.err = false, nil
+	return nil
+}
+
+// setFileLocked makes f the append target with an empty buffer; the
+// journal size starts at f's on-disk size.
+func (j *journalSink) setFileLocked(f *os.File) {
+	j.f = f
+	j.buf = j.buf[:0]
+	j.written = 0
+	if fi, err := f.Stat(); err == nil {
+		j.written = fi.Size()
+	}
 }
 
 // Written returns the journal's byte size (on-disk plus buffered) —
@@ -90,12 +109,7 @@ func (j *journalSink) swap(f *os.File) error {
 		return fmt.Errorf("server: journal closed")
 	}
 	old := j.f
-	j.f = f
-	j.buf = j.buf[:0]
-	j.written = 0
-	if fi, err := f.Stat(); err == nil {
-		j.written = fi.Size()
-	}
+	j.setFileLocked(f)
 	return old.Close()
 }
 
@@ -159,8 +173,9 @@ func (j *journalSink) Err() error {
 	return j.err
 }
 
-// Close flushes (fsyncing unless the policy is FsyncNever) and closes
-// the file. Idempotent; the file is closed even when the final flush
+// Close flushes (fsyncing unless the policy is FsyncNever), closes the
+// file and lets go of it and the buffer, since an evicted session keeps
+// its sink. Idempotent; the file is closed even when the final flush
 // fails.
 func (j *journalSink) Close() error {
 	j.mu.Lock()
@@ -171,6 +186,7 @@ func (j *journalSink) Close() error {
 	j.closed = true
 	ferr := j.flushLocked(j.policy != FsyncNever)
 	cerr := j.f.Close()
+	j.f, j.buf = nil, nil
 	if ferr != nil {
 		return ferr
 	}

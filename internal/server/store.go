@@ -28,23 +28,61 @@ import (
 // session id (FNV-1a) to a stripe.
 const storeShards = 16
 
+// storeShard is one lock stripe. sessions holds every session from
+// create to delete, in memory or evicted; live is the subset whose
+// tuner is resident, the only sessions cap enforcement scans. Both
+// change under mu, and a session's entries change only while its own
+// lock is held too.
 type storeShard struct {
 	mu       sync.RWMutex
 	sessions map[string]*Session
-	// stubs index evicted sessions: compacted to snapshot, engine and
-	// history dropped from memory, only the id and the last published
-	// info retained. Any Suggest/Observe/Info on a stub rehydrates the
-	// session from snapshot + journal tail on demand.
-	stubs map[string]*stub
+	live     map[string]*Session
 }
 
-// stub is the in-memory remnant of an evicted session. Its mutex
-// single-flights rehydration: concurrent requests for the same
-// evicted session rebuild it exactly once, the rest wait and reuse.
-type stub struct {
-	id   string
-	info *httpapi.SessionInfo // last published info (Evicted=true), served by List
-	mu   sync.Mutex
+// reset empties the shard.
+func (sh *storeShard) reset() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.sessions = make(map[string]*Session)
+	sh.live = make(map[string]*Session)
+}
+
+// add registers s as in memory, unless its id is taken.
+func (sh *storeShard) add(s *Session) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, dup := sh.sessions[s.id]; dup {
+		return false
+	}
+	sh.sessions[s.id] = s
+	sh.live[s.id] = s
+	return true
+}
+
+// setLive records whether s's tuner is resident.
+func (sh *storeShard) setLive(s *Session, live bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if live {
+		sh.live[s.id] = s
+	} else {
+		delete(sh.live, s.id)
+	}
+}
+
+// remove unregisters s, freeing its id.
+func (sh *storeShard) remove(s *Session) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	delete(sh.sessions, s.id)
+	delete(sh.live, s.id)
+}
+
+// read runs fn under the shard's read lock.
+func (sh *storeShard) read(fn func(*storeShard)) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	fn(sh)
 }
 
 // StoreConfig tunes the store's journaling behavior. The zero value
@@ -84,9 +122,9 @@ type StoreConfig struct {
 	// bytes; 0 disables the byte trigger. With both triggers zero,
 	// journals grow without bound (the legacy behavior).
 	SnapshotBytes int
-	// MaxLiveSessions caps how many sessions are kept hydrated in
+	// MaxLiveSessions caps how many sessions keep their tuner in
 	// memory; beyond it the least-recently-used idle sessions are
-	// compacted to snapshot and evicted to stubs, rehydrating on
+	// compacted to snapshot and evicted, rehydrating in place on
 	// demand. 0 means unlimited. Ignored for in-memory stores (no
 	// snapshot to rehydrate from).
 	MaxLiveSessions int
@@ -101,6 +139,11 @@ type StoreConfig struct {
 // directory the store is purely in-memory (tests, examples). The
 // session map is lock-striped (storeShards shards keyed by id) so
 // session CRUD from many workers never funnels through one mutex.
+//
+// A session is one *Session from create to delete. Eviction and
+// rehydration change that object in place under its own lock, so a
+// handle never goes stale; no shard lock is held across a tuner build
+// or file I/O.
 type Store struct {
 	dir  string
 	cfg  StoreConfig
@@ -109,7 +152,9 @@ type Store struct {
 	shards [storeShards]storeShard
 
 	// evictMu serializes cap-enforcement sweeps so concurrent creates
-	// and rehydrations don't race to evict the same victims.
+	// and rehydrations don't race to evict the same victims. It is
+	// taken with a session lock held; a sweep only ever TryLocks
+	// sessions.
 	evictMu sync.Mutex
 
 	evictions    atomic.Int64
@@ -160,8 +205,7 @@ func OpenStoreWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 		st.logf = func(string, ...any) {}
 	}
 	for i := range st.shards {
-		st.shards[i].sessions = make(map[string]*Session)
-		st.shards[i].stubs = make(map[string]*stub)
+		st.shards[i].reset()
 	}
 	if dir == "" {
 		return st, nil
@@ -237,13 +281,14 @@ func (st *Store) flushLoop() {
 	}
 }
 
-// Flush drains every session's buffered journal appends to disk,
-// fsyncing under the interval and always policies. It never takes a
-// session lock, so in-flight suggest/observe calls are not blocked.
+// Flush drains every in-memory session's buffered journal appends to
+// disk, fsyncing under the interval and always policies. It never
+// takes a session lock, so in-flight suggest/observe calls are not
+// blocked; an evicted session's journal is closed and holds nothing.
 func (st *Store) Flush() error {
 	sync := st.cfg.Fsync != FsyncNever
 	var first error
-	for _, s := range st.all() {
+	for _, s := range st.liveSessions() {
 		if s.sink == nil {
 			continue
 		}
@@ -254,17 +299,22 @@ func (st *Store) Flush() error {
 	return first
 }
 
-// all snapshots the live sessions across every shard, unsorted.
-func (st *Store) all() []*Session {
-	var out []*Session
+// scan calls fn on every shard under its read lock.
+func (st *Store) scan(fn func(*storeShard)) {
 	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.sessions {
+		st.shards[i].read(fn)
+	}
+}
+
+// liveSessions snapshots the in-memory sessions across every shard,
+// unsorted.
+func (st *Store) liveSessions() []*Session {
+	var out []*Session
+	st.scan(func(sh *storeShard) {
+		for _, s := range sh.live {
 			out = append(out, s)
 		}
-		sh.mu.RUnlock()
-	}
+	})
 	return out
 }
 
@@ -273,7 +323,7 @@ func (st *Store) all() []*Session {
 // garbled journal with no snapshot behind it is set aside (renamed
 // *.corrupt) with a warning instead of failing the whole store open.
 func (st *Store) resume(id string) error {
-	sess, err := st.loadSession(id)
+	stt, err := st.loadSessionState(id)
 	if errors.Is(err, errUnresumable) {
 		jpath := st.journalPath(id)
 		corrupt := jpath + ".corrupt"
@@ -284,39 +334,6 @@ func (st *Store) resume(id string) error {
 	}
 	if err != nil {
 		return err
-	}
-	sess.touch()
-	sh := st.shard(sess.id)
-	sh.mu.Lock()
-	sh.sessions[sess.id] = sess
-	sh.mu.Unlock()
-	st.enforceCap()
-	return nil
-}
-
-// loadSession rebuilds a session from disk — the shared path of boot
-// resume and on-demand rehydration. It repairs crash signatures
-// first (torn tail truncated, missing tail rewritten from snapshot),
-// then replays snapshot + tail into a fresh tuner.
-func (st *Store) loadSession(id string) (*Session, error) {
-	stt, err := st.loadSessionState(id)
-	if err != nil {
-		return nil, err
-	}
-	jpath := st.journalPath(id)
-	if stt.truncateTo >= 0 {
-		if err := os.Truncate(jpath, stt.truncateTo); err != nil {
-			return nil, fmt.Errorf("server: truncating torn journal %s: %w", jpath, err)
-		}
-	}
-	if stt.rebuild {
-		var buf bytes.Buffer
-		if err := writeHeader(&buf, stt.hdr); err != nil {
-			return nil, err
-		}
-		if err := atomicWriteFile(jpath, buf.Bytes()); err != nil {
-			return nil, fmt.Errorf("server: rebuilding journal tail %s: %w", jpath, err)
-		}
 	}
 	created := time.Now()
 	if t, err := time.Parse(time.RFC3339, stt.hdr.CreatedAt); err == nil {
@@ -329,24 +346,85 @@ func (st *Store) loadSession(id string) (*Session, error) {
 		// unset rather than fail the boot.
 		opts.ProposalCandidates = 0
 	}
-	sess, err := st.newSession(stt.hdr.ID, stt.sp, opts, created, jpath, false, stt.hdr.Space)
+	s, err := st.newSession(id, stt.sp, opts, created, stt.hdr.Space)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(stt.obs) > 0 {
-		if err := sess.at.Tuner().ResumeObs(stt.obs); err != nil {
-			sess.close()
-			return nil, err
+	if err := s.loadLocked(stt); err != nil { // not shared yet: no lock needed
+		return err
+	}
+	s.touch()
+	st.shard(id).add(s)
+	st.enforceCap()
+	return nil
+}
+
+// loadLocked makes s's tuner resident from its on-disk state — the
+// shared path of boot resume and rehydration. It repairs crash
+// signatures first (torn tail truncated, missing tail rewritten from
+// snapshot), replays snapshot + tail into a fresh tuner and starts the
+// recorder's running best from it, then reopens the journal. The
+// caller holds s.mu or owns s.
+func (s *Session) loadLocked(stt *sessionState) error {
+	jpath := s.store.journalPath(s.id)
+	if stt.truncateTo >= 0 {
+		if err := os.Truncate(jpath, stt.truncateTo); err != nil {
+			return fmt.Errorf("server: truncating torn journal %s: %w", jpath, err)
 		}
 	}
-	sess.snapBase = stt.snapEvents
-	sess.snapSize = stt.snapSize
-	sess.snapAt = stt.snapAt
+	if stt.rebuild {
+		var buf bytes.Buffer
+		if err := writeHeader(&buf, stt.hdr); err != nil {
+			return err
+		}
+		if err := atomicWriteFile(jpath, buf.Bytes()); err != nil {
+			return fmt.Errorf("server: rebuilding journal tail %s: %w", jpath, err)
+		}
+	}
+	at, err := s.newAskTell()
+	if err != nil {
+		return err
+	}
+	if len(stt.obs) > 0 {
+		if err := at.Tuner().ResumeObs(stt.obs); err != nil {
+			return err
+		}
+		s.rec.ResumeObs(stt.obs)
+	}
+	if err := s.sink.open(jpath); err != nil {
+		return err
+	}
+	s.at = at
+	s.snapBase, s.snapSize, s.snapAt = stt.snapEvents, stt.snapSize, stt.snapAt
 	// Cheap publish: refitting Importance (and the O(n²) Pareto scan)
 	// per session here would make a many-session boot O(model fits)
 	// instead of O(snapshot bytes). The first Info() fills them in.
-	sess.publishBasicLocked(time.Now())
-	return sess, nil
+	s.publishBasicLocked(time.Now())
+	return nil
+}
+
+// rehydrateLocked rebuilds an evicted session's tuner in place from its
+// snapshot and journal tail, then enforces the cap: s stays locked, so
+// the sweep skips it. Files that vanished out of band delete the
+// session. The caller holds s.mu.
+func (st *Store) rehydrateLocked(s *Session) error {
+	stt, err := st.loadSessionState(s.id)
+	if err == nil {
+		err = s.loadLocked(stt)
+	}
+	if errors.Is(err, errUnresumable) || os.IsNotExist(err) {
+		s.deleted = true
+		st.shard(s.id).remove(s)
+		return fmt.Errorf("%w: %s", ErrNotFound, s.id)
+	}
+	if err != nil {
+		return err
+	}
+	s.touch()
+	st.shard(s.id).setLive(s, true)
+	st.rehydrations.Add(1)
+	st.enforceCap()
+	return nil
 }
 
 // Create builds a new session from a serialized space. name == ""
@@ -361,8 +439,15 @@ func (st *Store) Create(name string, spaceJSON json.RawMessage, opts httpapi.Ses
 
 // CreateWithSpace builds a new session from an in-process Space —
 // the embedding path, which (unlike Create) may carry a constraint
-// predicate. spaceJSON is what the journal records; when nil it is
-// derived from sp.
+// predicate; the session keeps sp through eviction. spaceJSON is what
+// the journal records; when nil it is derived from sp.
+//
+// The tuner is built with no lock held, so a rejected option leaves
+// neither a session nor a journal behind. The id is then claimed under
+// the shard lock and the create header written under the new
+// session's own lock: a request that finds the session waits for its
+// header, and a create racing a delete of the same id gets ErrExists
+// until the delete's files are gone.
 func (st *Store) CreateWithSpace(name string, sp *space.Space, spaceJSON json.RawMessage, opts httpapi.SessionOptions) (*Session, error) {
 	if spaceJSON == nil {
 		var err error
@@ -399,374 +484,225 @@ func (st *Store) CreateWithSpace(name string, sp *space.Space, spaceJSON json.Ra
 	if id == "" {
 		id = newID()
 	}
-	sh := st.shard(id)
-	sh.mu.Lock()
-	_, dupLive := sh.sessions[id]
-	_, dupStub := sh.stubs[id]
-	if dupLive || dupStub {
-		sh.mu.Unlock()
+	s, err := st.newSession(id, sp, opts, time.Now(), spaceJSON)
+	if err != nil {
+		return nil, err
+	}
+	if s.at, err = s.newAskTell(); err != nil {
+		return nil, err
+	}
+	s.publishLocked(s.created) // not shared yet: no lock needed
+	s.touch()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !st.shard(id).add(s) {
 		return nil, fmt.Errorf("%w: %s", ErrExists, id)
 	}
-	created := time.Now()
-	path := ""
-	if st.dir != "" {
-		path = st.journalPath(id)
-	}
-	sess, err := st.newSession(id, sp, opts, created, path, true, spaceJSON)
-	if err != nil {
-		sh.mu.Unlock()
+	if err := s.writeHeaderLocked(); err != nil {
+		s.deleted, s.at = true, nil
+		st.shard(id).remove(s)
 		return nil, err
 	}
-	sess.touch()
-	sh.sessions[id] = sess
-	sh.mu.Unlock()
-	st.enforceCap()
-	return sess, nil
+	st.enforceCap() // s is locked: the sweep skips it
+	return s, nil
 }
 
-// newSession wires tuner, leases, and journal together. fresh writes
-// the create header; resume paths skip it (already on disk).
-func (st *Store) newSession(id string, sp *space.Space, opts httpapi.SessionOptions, created time.Time, journalPath string, fresh bool, spaceJSON json.RawMessage) (*Session, error) {
-	coreOpts, err := coreOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	// Objective specs are validated before the journal header is
-	// written, so a bad spec fails creation with 400 and never leaves
-	// a journal the next boot cannot resume.
+// newSession returns an unregistered session with no tuner, after
+// validating the objective and group specs, which a tuner build does
+// not check; at create that is before any journal exists. A journaled
+// store gives the session a recorder over a closed sink.
+func (st *Store) newSession(id string, sp *space.Space, opts httpapi.SessionOptions, created time.Time, spaceJSON json.RawMessage) (*Session, error) {
 	objs, err := objective.ParseSet(opts.Objectives)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	// Group specs are likewise validated against the space before the
-	// journal header is written: an unknown or repeated parameter name
-	// fails creation with 400 and never leaves an unresumable journal.
 	if err := core.ValidateGroups(sp, opts.Groups); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	sess := &Session{id: id, sp: sp, opts: opts, objs: objs, created: created, store: st, spaceJSON: spaceJSON}
-	if journalPath != "" {
-		f, err := openJournal(journalPath)
-		if err != nil {
-			return nil, err
-		}
-		sink := newJournalSink(f, st.cfg.FlushBytes, st.cfg.Fsync)
-		if fresh {
-			// The create header is durable before the create returns —
-			// group commit only ever defers events, never the session's
-			// existence.
-			err := writeHeader(sink, journalHeader{
-				ID:        id,
-				Space:     spaceJSON,
-				Options:   opts,
-				CreatedAt: created.UTC().Format(time.RFC3339),
-			})
-			if err == nil {
-				err = sink.Flush(st.cfg.Fsync != FsyncNever)
-			}
-			if err != nil {
-				sink.Close()
-				os.Remove(journalPath)
-				return nil, err
-			}
-		}
-		sess.sink = sink
-		sess.rec = core.NewRecorder(sink, sp)
-		coreOpts.OnStep = sess.rec.OnStep
+	s := &Session{id: id, sp: sp, opts: opts, objs: objs, created: created, store: st, spaceJSON: spaceJSON}
+	if st.dir != "" {
+		s.sink = &journalSink{limit: st.cfg.FlushBytes, policy: st.cfg.Fsync, closed: true}
+		s.rec = core.NewRecorder(s.sink, sp)
 	}
-	// The objective lives on the workers' side of the wire; the tuner
-	// is only ever driven through Ask/Tell, never Step/Run.
-	t, err := core.NewTuner(sp, func(space.Config) float64 {
-		panic("server: remote session objective must not be called")
-	}, coreOpts)
-	if err != nil {
-		if sess.sink != nil {
-			sess.sink.Close()
-			if fresh {
-				// The session never existed: leaving its header-only
-				// journal behind would poison the next boot's resume
-				// scan (the store fails fast on journals it cannot
-				// rebuild a tuner from).
-				os.Remove(journalPath)
-			}
-		}
-		return nil, err
-	}
-	sess.at = core.NewAskTell(t)
-	sess.publishLocked(created) // not shared yet: no lock needed
-	return sess, nil
-}
-
-// Get looks up a session, rehydrating it from snapshot + journal tail
-// when it has been evicted. The returned handle can still go stale if
-// eviction races the caller's use of it; mutating calls then return
-// ErrEvicted and should be retried via WithSession.
-func (st *Store) Get(id string) (*Session, error) {
-	return st.get(id, false)
-}
-
-// get is Get with optional pinning: when pin is set the returned
-// session's pin count is raised before cap enforcement runs, so the
-// eviction sweep triggered by this very lookup cannot pick it. The
-// caller must drop the pin when done.
-func (st *Store) get(id string, pin bool) (*Session, error) {
-	sh := st.shard(id)
-	sh.mu.RLock()
-	s, ok := sh.sessions[id]
-	stb, stubbed := sh.stubs[id]
-	sh.mu.RUnlock()
-	if ok {
-		if pin {
-			s.pins.Add(1)
-		}
-		s.touch()
-		return s, nil
-	}
-	if !stubbed {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	s, err := st.rehydrate(sh, stb)
-	if err != nil {
-		return nil, err
-	}
-	if pin {
-		s.pins.Add(1)
-	}
-	s.touch()
-	st.enforceCap()
 	return s, nil
 }
 
-// rehydrate rebuilds an evicted session from its on-disk state. The
-// stub's mutex single-flights the rebuild: concurrent requests for
-// the same session queue here and all but the first find the session
-// already live on the re-check.
-func (st *Store) rehydrate(sh *storeShard, stb *stub) (*Session, error) {
-	stb.mu.Lock()
-	defer stb.mu.Unlock()
-	// Re-check under the single-flight lock: an earlier waiter may have
-	// already rehydrated (session live again), or a concurrent Delete
-	// may have removed the stub.
+// find returns the session registered under id, in memory or evicted.
+func (st *Store) find(id string) (*Session, error) {
+	sh := st.shard(id)
 	sh.mu.RLock()
-	s, live := sh.sessions[stb.id]
-	_, still := sh.stubs[stb.id]
-	sh.mu.RUnlock()
-	if live {
+	defer sh.mu.RUnlock()
+	if s, ok := sh.sessions[id]; ok {
 		return s, nil
 	}
-	if !still {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, stb.id)
-	}
-	sess, err := st.loadSession(stb.id)
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+}
+
+// Get looks up a session and makes its tuner resident, rehydrating it
+// in place from snapshot + journal tail when it has been evicted.
+// A session is the same *Session before and after an eviction.
+func (st *Store) Get(id string) (*Session, error) {
+	var out *Session
+	err := st.WithSession(id, func(s *Session) error {
+		out = s
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.hydrateLocked()
+	})
 	if err != nil {
-		if errors.Is(err, errUnresumable) || os.IsNotExist(err) {
-			// Files vanished under the stub (deleted out of band): drop it.
-			sh.mu.Lock()
-			if sh.stubs[stb.id] == stb {
-				delete(sh.stubs, stb.id)
-			}
-			sh.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, stb.id)
-		}
 		return nil, err
 	}
-	sess.touch()
-	sh.mu.Lock()
-	if sh.stubs[stb.id] != stb {
-		// Deleted while we were loading: discard the rebuilt session so
-		// the delete wins.
-		sh.mu.Unlock()
-		sess.close()
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, stb.id)
-	}
-	delete(sh.stubs, stb.id)
-	sh.sessions[stb.id] = sess
-	sh.mu.Unlock()
-	st.rehydrations.Add(1)
-	return sess, nil
+	return out, nil
 }
 
-// WithSession runs fn against the named session, retrying the lookup
-// when fn reports ErrEvicted — the handle went stale because LRU
-// eviction raced the call; the retry re-Gets (rehydrating on demand)
-// and runs fn against the fresh session. Bounded so a pathological
-// evict/rehydrate storm degrades to an error instead of livelock.
+// WithSession runs fn against the named session. fn's session calls
+// rehydrate an evicted session in place. Afterwards it brings the
+// store back under its cap: a sweep that ran while fn's call held the
+// session lock skipped this session, and one that found every
+// candidate busy gave up, so the store converges once traffic drains.
 func (st *Store) WithSession(id string, fn func(*Session) error) error {
-	for attempt := 0; ; attempt++ {
-		s, err := st.get(id, true)
-		if err != nil {
-			return err
-		}
-		err = fn(s)
-		s.pins.Add(-1)
-		// A sweep that ran while this request held its pin may have
-		// found nothing evictable and given up; re-check now that the
-		// pin is dropped so the store converges back under the cap once
-		// traffic drains.
-		if st.cfg.MaxLiveSessions > 0 && st.LiveLen() > st.cfg.MaxLiveSessions {
-			st.enforceCap()
-		}
-		if !errors.Is(err, ErrEvicted) || attempt >= 3 {
-			return err
-		}
+	s, err := st.find(id)
+	if err != nil {
+		return err
 	}
+	s.touch()
+	err = fn(s)
+	st.enforceCap()
+	return err
 }
 
-// enforceCap evicts least-recently-used sessions until the live count
-// fits MaxLiveSessions. Serialized by evictMu so concurrent creates
-// and rehydrations don't stampede the same victims. In-memory stores
-// are exempt: with no snapshot to rehydrate from, eviction would lose
-// the session outright.
+// enforceCap evicts least-recently-used sessions until the in-memory
+// count fits MaxLiveSessions. Serialized by evictMu so concurrent
+// creates and rehydrations don't stampede the same victims. In-memory
+// stores are exempt: with no snapshot to rehydrate from, eviction
+// would lose the session outright.
 func (st *Store) enforceCap() {
-	if st.cfg.MaxLiveSessions <= 0 || st.dir == "" {
+	max := st.cfg.MaxLiveSessions
+	if max <= 0 || st.dir == "" || st.LiveLen() <= max {
 		return
 	}
 	st.evictMu.Lock()
 	defer st.evictMu.Unlock()
-	for {
-		live := st.all()
-		if len(live) <= st.cfg.MaxLiveSessions {
+	live := st.liveSessions()
+	for st.LiveLen() > max {
+		i := pickVictim(live)
+		if i < 0 {
+			return // every candidate was tried or its journal is failing
+		}
+		if err := st.tryEvict(live[i]); err != nil {
+			// Give up this sweep; the next create or rehydration retries.
+			st.logf("hiperbotd: session %s: eviction aborted, compaction failed: %v", live[i].id, err)
 			return
 		}
-		v := pickVictim(live)
-		if v == nil || !st.evictSession(v) {
-			// Nothing evictable (every candidate's journal is failing) or
-			// the compaction failed; give up this sweep — the next create
-			// or rehydration retries.
-			return
-		}
+		live[i] = nil
 	}
 }
 
-// pickVictim chooses the coldest evictable session: least recently
-// accessed, preferring sessions with no live leases (evicting a
-// leased session forfeits its workers' leases — the fantasized
-// pending set is in-memory only), and skipping sessions whose journal
-// writes are failing (their snapshot could not be trusted) or that
-// are pinned by an in-flight request.
-func pickVictim(live []*Session) *Session {
-	var coldest, coldestFree *Session
+// pickVictim returns the index of the coldest evictable session, or
+// -1: least recently accessed, preferring sessions with no live leases
+// (evicting a leased session forfeits its workers' leases — the
+// fantasized pending set is in-memory only), and skipping nil entries
+// (already tried) and sessions whose journal writes are failing (their
+// snapshot could not be trusted).
+func pickVictim(live []*Session) int {
+	coldest, coldestFree := -1, -1
 	var tAny, tFree int64
-	for _, s := range live {
-		if s.JournalErr() != nil || s.pins.Load() > 0 {
+	for i, s := range live {
+		if s == nil || s.JournalErr() != nil {
 			continue
 		}
 		at := s.lastAccess.Load()
-		if coldest == nil || at < tAny {
-			coldest, tAny = s, at
+		if coldest < 0 || at < tAny {
+			coldest, tAny = i, at
 		}
-		if s.Snapshot().ActiveLeases == 0 && (coldestFree == nil || at < tFree) {
-			coldestFree, tFree = s, at
+		if s.snap.Load().ActiveLeases == 0 && (coldestFree < 0 || at < tFree) {
+			coldestFree, tFree = i, at
 		}
 	}
-	if coldestFree != nil {
+	if coldestFree >= 0 {
 		return coldestFree
 	}
 	return coldest
 }
 
-// evictSession compacts one session to its snapshot, drops its tuner
-// and history from memory, and leaves a stub in the shard index.
-// Returns false when the session could not be evicted (compaction
-// failed, or a concurrent Delete got there first).
-func (st *Store) evictSession(s *Session) bool {
-	s.mu.Lock()
-	if s.evicted {
-		s.mu.Unlock()
-		return false
+// tryEvict compacts s to its snapshot, publishes its last info marked
+// evicted, drops its tuner and closes its journal; s stays registered
+// and rehydrates in place on its next call. It skips s when s's lock
+// is held — a call is using it, which keeps a request's own session
+// out of the sweep — or s left memory since the scan. The error is the
+// compaction's.
+func (st *Store) tryEvict(s *Session) error {
+	if !s.mu.TryLock() {
+		return nil
 	}
-	if err := s.compactLocked(time.Now()); err != nil {
-		s.mu.Unlock()
-		st.logf("hiperbotd: session %s: eviction aborted, compaction failed: %v", s.id, err)
-		return false
+	defer s.mu.Unlock()
+	if s.at == nil {
+		return nil
 	}
-	s.evicted = true
-	s.publishLocked(time.Now())
-	info := s.snap.Load()
-	sh := st.shard(s.id)
-	sh.mu.Lock()
-	if sh.sessions[s.id] != s {
-		// Deleted (and possibly re-created) while we compacted: the
-		// delete already owns cleanup, leave no stub behind.
-		sh.mu.Unlock()
-		s.mu.Unlock()
-		return false
+	now := time.Now()
+	if err := s.compactLocked(now); err != nil {
+		return err
 	}
-	delete(sh.sessions, s.id)
-	sh.stubs[s.id] = &stub{id: s.id, info: info}
-	sh.mu.Unlock()
-	s.mu.Unlock()
-	s.close()
+	s.publishLocked(now)
+	info := *s.snap.Load()
+	info.Evicted = true
+	s.snap.Store(&info)
+	s.at = nil
+	// Nothing is buffered: compaction flushed the journal, and the
+	// snapshot holds every event, so a failed close loses nothing.
+	_ = s.close()
+	st.shard(s.id).setLive(s, false)
 	st.evictions.Add(1)
-	return true
+	return nil
 }
 
-// List returns every live session, sorted by id. Evicted sessions are
-// not included (rehydrating them all would defeat eviction); use
+// List returns every in-memory session, sorted by id. Evicted sessions
+// are not included (rehydrating them all would defeat eviction); use
 // Infos for the complete inventory.
 func (st *Store) List() []*Session {
-	out := st.all()
+	out := st.liveSessions()
 	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
 	return out
 }
 
-// Infos reports every session — live ones freshly, evicted ones from
-// the info published at eviction time (Evicted=true) — sorted by id,
-// without rehydrating anything.
+// Infos reports every session — in-memory ones freshly, evicted ones
+// from the info published at eviction time (Evicted=true) — sorted by
+// id, without rehydrating anything.
 func (st *Store) Infos() []httpapi.SessionInfo {
-	var live []*Session
-	var out []httpapi.SessionInfo
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		// One critical section per shard: the evict swap (session →
-		// stub) is atomic under this lock, so a session can't be
-		// collected twice or missed.
+	var all []*Session
+	st.scan(func(sh *storeShard) {
 		for _, s := range sh.sessions {
-			live = append(live, s)
+			all = append(all, s)
 		}
-		for _, stb := range sh.stubs {
-			out = append(out, *stb.info)
-		}
-		sh.mu.RUnlock()
-	}
-	for _, s := range live {
-		out = append(out, s.Info())
+	})
+	out := make([]httpapi.SessionInfo, len(all))
+	for i, s := range all {
+		out[i] = s.Info()
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
 
-// Len returns the total session count, live plus evicted.
+// Len returns the total session count, in memory plus evicted.
 func (st *Store) Len() int {
 	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.sessions) + len(sh.stubs)
-		sh.mu.RUnlock()
-	}
+	st.scan(func(sh *storeShard) { n += len(sh.sessions) })
 	return n
 }
 
-// LiveLen returns the number of sessions currently hydrated in memory.
+// LiveLen returns the number of sessions whose tuner is in memory.
 func (st *Store) LiveLen() int {
 	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.sessions)
-		sh.mu.RUnlock()
-	}
+	st.scan(func(sh *storeShard) { n += len(sh.live) })
 	return n
 }
 
 // StoreStats aggregates session and persistence counters for /metrics.
 // Evaluation and duplicate counts include evicted sessions (read from
-// their eviction-time infos); pending leases are live-only, since
+// their eviction-time infos); pending leases are in-memory only, since
 // eviction forfeits a session's leases.
 type StoreStats struct {
-	Sessions             int // live + evicted
+	Sessions             int // in memory + evicted
 	LiveSessions         int
 	Evaluations          int64
 	PendingLeases        int
@@ -777,43 +713,36 @@ type StoreStats struct {
 	Compactions          int64
 }
 
-// Stats gathers StoreStats from lock-free session snapshots and
-// eviction-time stub infos; scraping /metrics never contends with the
-// ask/tell hot path.
+// Stats gathers StoreStats from lock-free session snapshots; scraping
+// /metrics never contends with the ask/tell hot path.
 func (st *Store) Stats() StoreStats {
 	out := StoreStats{
 		Evictions:    st.evictions.Load(),
 		Rehydrations: st.rehydrations.Load(),
 		Compactions:  st.compactions.Load(),
 	}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.sessions {
-			snap := s.Snapshot()
-			out.LiveSessions++
+	st.scan(func(sh *storeShard) {
+		for id, s := range sh.sessions {
+			snap := s.snap.Load()
+			out.Sessions++
 			out.Evaluations += int64(snap.Evaluations)
-			out.PendingLeases += snap.ActiveLeases
 			out.DuplicateSuggestions += snap.DuplicateSuggestions
 			out.PoolExhaustedRetries += snap.PoolExhaustedRetries
+			if _, ok := sh.live[id]; ok {
+				out.LiveSessions++
+				out.PendingLeases += snap.ActiveLeases
+			}
 		}
-		for _, stb := range sh.stubs {
-			out.Sessions++
-			out.Evaluations += int64(stb.info.Evaluations)
-			out.DuplicateSuggestions += stb.info.DuplicateSuggestions
-			out.PoolExhaustedRetries += stb.info.PoolExhaustedRetries
-		}
-		sh.mu.RUnlock()
-	}
-	out.Sessions += out.LiveSessions
+	})
 	return out
 }
 
-// JournalErrors reports sessions whose journal writes have failed, as
-// "id: error" strings sorted by id — the /healthz degraded payload.
+// JournalErrors reports in-memory sessions whose journal writes have
+// failed, as "id: error" strings sorted by id — the /healthz degraded
+// payload. The sweep never evicts a session whose journal is failing.
 func (st *Store) JournalErrors() []string {
 	var out []string
-	for _, s := range st.all() {
+	for _, s := range st.liveSessions() {
 		if err := s.JournalErr(); err != nil {
 			out = append(out, fmt.Sprintf("%s: %v", s.id, err))
 		}
@@ -823,51 +752,27 @@ func (st *Store) JournalErrors() []string {
 }
 
 // Delete removes a session and all its on-disk state: journal,
-// snapshot, and any in-flight temp siblings. Works on live and
-// evicted sessions alike.
+// snapshot, and any in-flight temp siblings. It works on in-memory and
+// evicted sessions alike, under the session's lock, and frees the id
+// only after the files are gone, so a create of the same id that
+// succeeds never has its journal removed by this delete.
 func (st *Store) Delete(id string) error {
-	sh := st.shard(id)
-	for {
-		sh.mu.Lock()
-		s, live := sh.sessions[id]
-		stb, stubbed := sh.stubs[id]
-		if live {
-			delete(sh.sessions, id)
-			sh.mu.Unlock()
-			// Mark evicted under the session lock: this serializes with
-			// any in-flight compaction or eviction (both hold s.mu), so
-			// neither can recreate the snapshot after we remove the files,
-			// and stale handles fail with ErrEvicted instead of journaling
-			// into a deleted session.
-			s.mu.Lock()
-			s.evicted = true
-			s.mu.Unlock()
-			err := s.close()
-			if rerr := st.removeSessionFiles(id); rerr != nil && err == nil {
-				err = rerr
-			}
-			return err
-		}
-		sh.mu.Unlock()
-		if !stubbed {
-			return fmt.Errorf("%w: %s", ErrNotFound, id)
-		}
-		// Evicted session: take the stub's single-flight lock so no
-		// rehydration is reading (or repairing) the files while we remove
-		// them, then re-check — the stub may have been promoted back to a
-		// live session while we waited.
-		stb.mu.Lock()
-		sh.mu.Lock()
-		if sh.stubs[id] == stb {
-			delete(sh.stubs, id)
-			sh.mu.Unlock()
-			err := st.removeSessionFiles(id)
-			stb.mu.Unlock()
-			return err
-		}
-		sh.mu.Unlock()
-		stb.mu.Unlock()
+	s, err := st.find(id)
+	if err != nil {
+		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.deleted {
+		return fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	s.deleted, s.at = true, nil
+	err = s.close()
+	if rerr := st.removeSessionFiles(id); rerr != nil && err == nil {
+		err = rerr
+	}
+	st.shard(id).remove(s)
+	return err
 }
 
 // removeSessionFiles deletes every file a session may have on disk.
@@ -898,17 +803,13 @@ func (st *Store) Close() error {
 		}
 	})
 	var first error
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.sessions {
-			if err := s.close(); err != nil && first == nil {
-				first = err
-			}
+	for _, s := range st.liveSessions() {
+		if err := s.close(); err != nil && first == nil {
+			first = err
 		}
-		sh.sessions = make(map[string]*Session)
-		sh.stubs = make(map[string]*stub)
-		sh.mu.Unlock()
+	}
+	for i := range st.shards {
+		st.shards[i].reset()
 	}
 	return first
 }

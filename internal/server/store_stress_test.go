@@ -1,7 +1,10 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,14 +18,31 @@ import (
 // lock-free read paths (List/Info/Len/Evaluations/JournalErrors) —
 // run with -race. The shard striping must keep every operation
 // linearizable per id: a created session is immediately Get-able, a
-// deleted one immediately gone.
+// deleted one immediately gone. The journaled store caps live sessions
+// at 2, so create, evict, rehydrate and delete race each other there,
+// and every handle must stay the session's one *Session throughout.
 func TestStoreConcurrentLifecycle(t *testing.T) {
-	store, err := OpenStore("")
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) (*Store, error)
+	}{
+		{"memory", func(*testing.T) (*Store, error) { return OpenStore("") }},
+		{"journaled-cap2", func(t *testing.T) (*Store, error) {
+			return OpenStoreWithConfig(t.TempDir(), StoreConfig{MaxLiveSessions: 2})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := tc.open(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			testStoreConcurrentLifecycle(t, store)
+		})
 	}
-	defer store.Close()
+}
 
+func testStoreConcurrentLifecycle(t *testing.T, store *Store) {
 	sp := space.New(
 		space.DiscreteInts("x", 0, 1, 2, 3, 4, 5, 6, 7),
 		space.DiscreteInts("y", 0, 1, 2, 3, 4, 5, 6, 7),
@@ -122,6 +142,196 @@ func TestStoreConcurrentLifecycle(t *testing.T) {
 	wantEvals := int64(want * evalsPerSes)
 	if got := store.Stats().Evaluations; got != wantEvals {
 		t.Fatalf("store reports %d evaluations, want %d", got, wantEvals)
+	}
+}
+
+// TestDeleteRacingCreateKeepsJournal races Delete("x") against a
+// create of the same name that retries on ErrExists, makes one
+// acknowledged observe on the new session, and reopens the store: the
+// new session and its observation must survive every round. Delete
+// frees the id only after it has removed the files, so it can never
+// remove a journal that a create of the same name has written.
+func TestDeleteRacingCreateKeepsJournal(t *testing.T) {
+	dir := t.TempDir()
+	sp := testSpace()
+	opts := httpapi.SessionOptions{Seed: 1, InitialSamples: 2}
+	const rounds = 300
+	lost := 0
+	for r := 0; r < rounds; r++ {
+		store, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.CreateWithSpace("x", sp, nil, opts); err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg                   sync.WaitGroup
+			created              *Session
+			createErr, deleteErr error
+		)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			deleteErr = store.Delete("x")
+		}()
+		go func() {
+			defer wg.Done()
+			for {
+				created, createErr = store.CreateWithSpace("x", sp, nil, opts)
+				if !errors.Is(createErr, ErrExists) {
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+		wg.Wait()
+		if deleteErr != nil || createErr != nil {
+			t.Fatalf("round %d: delete: %v, create: %v", r, deleteErr, createErr)
+		}
+		if _, err := created.Observe(space.Config{1, 2}, 0); err != nil {
+			t.Fatalf("round %d: observe: %v", r, err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err := reopened.Get("x"); err != nil || s.Snapshot().Evaluations != 1 {
+			lost++
+		}
+		reopened.Delete("x")
+		if err := reopened.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d rounds lost the re-created session or its observation", lost, rounds)
+	}
+}
+
+// TestEvictedSessionKeepsConstraint: a session an embedding store
+// created with a constrained space keeps the constraint through
+// eviction and rehydration, and rejects a result the constraint
+// forbids. The journal header carries no constraint, so rehydration
+// must keep the session's own space rather than parse it again.
+func TestEvictedSessionKeepsConstraint(t *testing.T) {
+	store, err := OpenStoreWithConfig(t.TempDir(), StoreConfig{MaxLiveSessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	constrained := testSpace().WithConstraint(func(c space.Config) bool { return c[0]+c[1] <= 3 })
+	opts := httpapi.SessionOptions{Seed: 1, InitialSamples: 2}
+	if _, err := store.CreateWithSpace("c", constrained, nil, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.CreateWithSpace("other", testSpace(), nil, opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Stats().Evictions; n != 1 {
+		t.Fatalf("evictions = %d, want 1 under cap 1", n)
+	}
+	sess, err := store.Get("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Stats().Rehydrations; n != 1 {
+		t.Fatalf("rehydrations = %d, want 1", n)
+	}
+	var invalid *InvalidConfigError
+	if _, err := sess.Observe(space.Config{3, 3}, 1); !errors.As(err, &invalid) {
+		t.Fatalf("observe {3,3} after rehydration: err = %v, want an *InvalidConfigError", err)
+	}
+	if _, err := sess.Observe(space.Config{1, 2}, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSessionHandleSurvivesEviction: the *Session CreateWithSpace
+// returns stays usable after its session is evicted. Its next call
+// rehydrates the session in place, and Store.Get returns that same
+// pointer.
+func TestSessionHandleSurvivesEviction(t *testing.T) {
+	store, err := OpenStoreWithConfig(t.TempDir(), StoreConfig{MaxLiveSessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	opts := httpapi.SessionOptions{Seed: 1, InitialSamples: 2}
+	sess, err := store.CreateWithSpace("a", testSpace(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Observe(space.Config{0, 0}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.CreateWithSpace("b", testSpace(), nil, opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Stats().Evictions; n != 1 {
+		t.Fatalf("evictions = %d, want 1 under cap 1", n)
+	}
+	picks, _, err := sess.Suggest(1, time.Minute)
+	if err != nil || len(picks) != 1 {
+		t.Fatalf("suggest on the evicted session's handle: picks = %v, err = %v", picks, err)
+	}
+	if got, err := store.Get("a"); err != nil || got != sess {
+		t.Fatalf("Get after rehydration = %p, %v; want the create handle %p", got, err, sess)
+	}
+	if info := sess.Info(); info.Evicted || info.Evaluations != 1 {
+		t.Fatalf("rehydrated info = %+v, want in memory with 1 evaluation", info)
+	}
+	if n := store.Stats().Rehydrations; n != 1 {
+		t.Fatalf("rehydrations = %d, want 1", n)
+	}
+}
+
+// TestJournalBestSoFarAcrossRestart: a session's journal keeps its
+// running best across a restart: the first event after the resume
+// reports the resumed history's best, not its own worse value.
+func TestJournalBestSoFarAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	opts := httpapi.SessionOptions{Seed: 1, InitialSamples: 2}
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := store.CreateWithSpace("best", testSpace(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []float64{0, 5} {
+		if _, err := sess.Observe(space.Config{float64(i), 0}, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if sess, err = store.Get("best"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Observe(space.Config{2, 0}, 9); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := readJournalFile(filepath.Join(dir, "best.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, ev := range tail.events {
+		got = append(got, ev.BestSoFar)
+	}
+	if want := []float64{0, 0, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("journal best_so_far = %v, want %v", got, want)
 	}
 }
 
