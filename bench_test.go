@@ -136,7 +136,7 @@ func BenchmarkHeadlineEvaluationsToBest(b *testing.B) {
 		Repetitions: 10, BaseSeed: 31,
 	}
 	for _, m := range []harness.Method{
-		harness.HiPerBOt(harness.HiPerBOtOptions{}),
+		harness.HiPerBOt(core.Options{}),
 		harness.GEIST(harness.GEISTOptions{}),
 		harness.Random(),
 	} {
@@ -178,7 +178,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 		b.Run(strat, func(b *testing.B) {
 			var best float64
 			for i := 0; i < b.N; i++ {
-				m := harness.HiPerBOt(harness.HiPerBOtOptions{Engine: strat})
+				m := harness.HiPerBOt(core.Options{Engine: strat})
 				h, err := m.Run(tbl, 96, uint64(i)+1)
 				if err != nil {
 					b.Fatal(err)
@@ -200,7 +200,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 		b.Run(quantileName(alpha), func(b *testing.B) {
 			var best float64
 			for i := 0; i < b.N; i++ {
-				meth := harness.HiPerBOt(harness.HiPerBOtOptions{Quantile: alpha})
+				meth := harness.HiPerBOt(core.Options{Surrogate: core.SurrogateConfig{Quantile: alpha}})
 				h, err := meth.Run(tbl, 150, uint64(i)+1)
 				if err != nil {
 					b.Fatal(err)
@@ -243,7 +243,7 @@ func BenchmarkAblationTransferWeight(b *testing.B) {
 		b.Run(weightName(w), func(b *testing.B) {
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				m := harness.HiPerBOt(harness.HiPerBOtOptions{Prior: prior, PriorWeight: w})
+				m := harness.HiPerBOt(core.Options{Surrogate: core.SurrogateConfig{Prior: prior, PriorWeight: w}})
 				h, err := m.Run(tgt, budget, uint64(i)+1)
 				if err != nil {
 					b.Fatal(err)
@@ -482,7 +482,7 @@ func BenchmarkExtendedBaselinesGP(b *testing.B) {
 		Table: tbl, Checkpoints: []int{96}, Repetitions: 3, BaseSeed: 61,
 	}
 	for _, m := range []harness.Method{
-		harness.HiPerBOt(harness.HiPerBOtOptions{}),
+		harness.HiPerBOt(core.Options{}),
 		harness.GEIST(harness.GEISTOptions{}),
 		harness.GP(),
 	} {

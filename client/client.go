@@ -266,24 +266,19 @@ func (c *Client) TuneMetrics(ctx context.Context, id string, obj MetricObjective
 	if batch < 1 {
 		batch = 1
 	}
-	for {
-		info, err := c.Status(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if info.Evaluations >= budget {
-			return info, nil
-		}
-		want := batch
-		if rem := budget - info.Evaluations; want > rem {
-			want = rem
-		}
-		sug, err := c.Suggest(ctx, id, want, lease)
+	info, err := c.Status(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	// Each observe answers with the session's evaluation count, so the
+	// loop polls no status between batches.
+	for n := info.Evaluations; n < budget; {
+		sug, err := c.Suggest(ctx, id, min(batch, budget-n), lease)
 		if err != nil {
 			return nil, err
 		}
 		if len(sug.Candidates) == 0 {
-			return c.Status(ctx, id) // pool exhausted
+			break // pool exhausted
 		}
 		results := make([]Result, 0, len(sug.Candidates))
 		for _, cfg := range sug.Candidates {
@@ -293,10 +288,13 @@ func (c *Client) TuneMetrics(ctx context.Context, id string, obj MetricObjective
 			}
 			results = append(results, Result{Config: cfg, Value: v, Metrics: metrics})
 		}
-		if _, err := c.Observe(ctx, id, results); err != nil {
+		obs, err := c.Observe(ctx, id, results)
+		if err != nil {
 			return nil, err
 		}
+		n = obs.Evaluations
 	}
+	return c.Status(ctx, id)
 }
 
 // maxRetryAfter caps how long a server-directed Retry-After delay is

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -132,6 +134,46 @@ func TestClientTuneMetricsParetoFront(t *testing.T) {
 		if len(r.Metrics) != 2 {
 			t.Fatalf("front member missing metrics: %+v", r)
 		}
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestClientTuneRequestCount: Tune reads the evaluation count from each
+// observe response, so it asks for status once before the loop and
+// once for the info it returns, not once per batch.
+func TestClientTuneRequestCount(t *testing.T) {
+	ts, _ := newDaemon(t)
+	var mu sync.Mutex
+	counts := map[string]int{}
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		mu.Lock()
+		counts[r.Method+" "+path.Base(r.URL.Path)]++
+		mu.Unlock()
+		return http.DefaultTransport.RoundTrip(r)
+	})}
+	cl, err := New(ts.URL, WithHTTPClient(hc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	id, err := cl.CreateSessionFromSpace(ctx, "counted", testSpace(), SessionOptions{Seed: 1, InitialSamples: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := cl.Tune(ctx, id, func(map[string]string) (float64, error) { return 1, nil }, 12, 4, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Evaluations != 12 {
+		t.Fatalf("evaluations = %d, want 12", info.Evaluations)
+	}
+	want := map[string]int{"POST sessions": 1, "GET counted": 2, "POST suggest": 3, "POST observe": 3}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("requests = %v, want %v", counts, want)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/experiments"
+	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/report"
 )
 
@@ -235,15 +236,9 @@ func engineShootout(ds, names string, cfg experiments.Config) error {
 	if err != nil {
 		return err
 	}
-	var list []string
+	list := httpapi.SplitList(names)
 	if names == "all" {
 		list = core.EngineNames()
-	} else {
-		for _, n := range strings.Split(names, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				list = append(list, n)
-			}
-		}
 	}
 	return selection(
 		fmt.Sprintf("Engine shootout on %s: %s", ds, strings.Join(list, " vs ")),

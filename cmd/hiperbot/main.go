@@ -45,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,6 +59,7 @@ import (
 	"github.com/hpcautotune/hiperbot/internal/apps/service"
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
+	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/objective"
 	"github.com/hpcautotune/hiperbot/internal/report"
 	"github.com/hpcautotune/hiperbot/internal/space"
@@ -90,18 +92,23 @@ func appMetrics(name string) func(space.Config) map[string]float64 {
 }
 
 func main() {
+	// The tuning flags bind straight into one set of options; each path
+	// below adds only its own candidates, objective vector, step hook, or
+	// default engine.
+	var opts core.Options
+	var objectives []string
+	flag.IntVar(&opts.InitialSamples, "init", 20, "initial random samples")
+	flag.Float64Var(&opts.Surrogate.Quantile, "quantile", 0.20, "good/bad split quantile α")
+	flag.StringVar(&opts.Engine, "strategy", "", "selection engine: "+strings.Join(core.EngineNames(), ", ")+" (default: paper choice)")
+	flag.IntVar(&opts.PoolCap, "pool-cap", 0, "sampled candidate pool size on spaces too large to enumerate (0 = default, <0 = disable large-space mode)")
+	flag.IntVar(&opts.CandidateSamples, "candidate-samples", 0, "good-density draws per pick of the pool-free TPE engines: proposal, sampling, grouped, motpe without a pool (0 = the engine's default)")
+	flag.Func("groups", "parameter grouping for the grouped engine, \"a,b;c,d\" (empty = auto-propose from importance)", func(s string) error { opts.Groups = core.ParseGroups(s); return nil })
+	flag.Uint64Var(&opts.Seed, "seed", 1, "random seed")
+	flag.Func("objectives", "comma-separated objective specs for multi-objective tuning (e.g. p95_latency_ms,cost; needs a multi-metric app like service)", func(s string) error { objectives = httpapi.SplitList(s); return nil })
 	var (
 		csvPath    = flag.String("csv", "", "CSV file of measurements to tune over")
 		appName    = flag.String("app", "", "built-in app model (kripke-exec, kripke-energy, hypre, lulesh, openatom, service, huge, compile40)")
-		objectives = flag.String("objectives", "", "comma-separated objective specs for multi-objective tuning (e.g. p95_latency_ms,cost; needs a multi-metric app like service)")
 		budget     = flag.Int("budget", 150, "total objective evaluations (including initial samples)")
-		initial    = flag.Int("init", 20, "initial random samples")
-		quantile   = flag.Float64("quantile", 0.20, "good/bad split quantile α")
-		strategy   = flag.String("strategy", "", "selection engine: "+strings.Join(core.EngineNames(), ", ")+" (default: paper choice)")
-		poolCap    = flag.Int("pool-cap", 0, "sampled candidate pool size on spaces too large to enumerate (0 = default, <0 = disable large-space mode)")
-		candSamp   = flag.Int("candidate-samples", 0, "good-density draws per pick of the pool-free TPE engines: proposal, sampling, grouped, motpe without a pool (0 = the engine's default)")
-		groupsSpec = flag.String("groups", "", "parameter grouping for the grouped engine, \"a,b;c,d\" (empty = auto-propose from importance)")
-		seed       = flag.Uint64("seed", 1, "random seed")
 		importance = flag.Bool("importance", false, "print the parameter-importance ranking")
 		trace      = flag.Bool("trace", false, "print every evaluation")
 		checkpoint = flag.String("checkpoint", "", "write the evaluation history to this CSV when done")
@@ -110,25 +117,15 @@ func main() {
 	)
 	flag.Parse()
 
-	// One set of options from the flags; each path below adds only its
-	// own candidates, objective vector, step hook, or default engine.
-	opts := core.Options{
-		InitialSamples:   *initial,
-		Engine:           *strategy,
-		Surrogate:        core.SurrogateConfig{Quantile: *quantile},
-		Seed:             *seed,
-		PoolCap:          *poolCap,
-		CandidateSamples: *candSamp,
-		Groups:           core.ParseGroups(*groupsSpec),
-	}
-
 	if app, ok := analyticApps()[*appName]; ok {
+		rejectFlags("-app "+*appName, "csv", "checkpoint", "resume", "log", "objectives")
 		tuneAnalytic(app, opts, *budget, *importance, *trace)
 		return
 	}
 
-	if *objectives != "" {
-		tuneMulti(*appName, *objectives, opts, *budget, *trace)
+	if len(objectives) > 0 {
+		rejectFlags("-objectives", "csv", "checkpoint", "resume", "log", "importance")
+		tuneMulti(*appName, objectives, opts, *budget, *trace)
 		return
 	}
 
@@ -212,6 +209,17 @@ func main() {
 		}
 		printImportance(tbl.Space, imp)
 	}
+}
+
+// rejectFlags exits 2, as a flag error does, when the command line
+// sets one of the named flags, which the path it chose does not honour.
+func rejectFlags(path string, names ...string) {
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			fmt.Fprintf(os.Stderr, "hiperbot: -%s is not supported with %s\n", f.Name, path)
+			os.Exit(2)
+		}
+	})
 }
 
 func loadTable(csvPath, appName string) (*dataset.Table, error) {
@@ -309,17 +317,11 @@ func printImportance(sp *space.Space, imp []float64) {
 // tuneMulti runs multi-objective tuning on an app that exposes a
 // multi-metric observation, printing the Pareto front instead of a
 // single best configuration. The default engine is motpe.
-func tuneMulti(appName, specs string, opts core.Options, budget int, trace bool) {
+func tuneMulti(appName string, names []string, opts core.Options, budget int, trace bool) {
 	metrics := appMetrics(appName)
 	if metrics == nil {
 		fmt.Fprintf(os.Stderr, "hiperbot: -objectives needs a multi-metric app (service), got %q\n", appName)
 		os.Exit(1)
-	}
-	var names []string
-	for _, s := range strings.Split(specs, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			names = append(names, s)
-		}
 	}
 	set, err := objective.ParseSet(names)
 	if err != nil {

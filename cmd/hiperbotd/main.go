@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/hpcautotune/hiperbot/internal/core"
+	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/server"
 
 	// Engines register themselves with the core registry; the blank
@@ -39,59 +40,35 @@ import (
 )
 
 func main() {
+	// The store flags bind straight into the store's configuration,
+	// which OpenStoreWithConfig checks: the fsync policy, and the session
+	// defaults with create's own checks.
+	var cfg server.StoreConfig
+	flag.StringVar((*string)(&cfg.Fsync), "fsync", "interval", "journal fsync policy: never (leave it to the OS), interval (sync once per flush tick), always (sync every append)")
+	flag.DurationVar(&cfg.FlushInterval, "flush-interval", 100*time.Millisecond, "group-commit period for buffered journal appends")
+	flag.IntVar(&cfg.FlushBytes, "flush-bytes", 64<<10, "buffered journal bytes that force a flush before the next tick (0 = write every append through immediately)")
+	flag.IntVar(&cfg.DefaultPoolCap, "pool-cap", 0, "default sampled-pool size for sessions on spaces too large to enumerate (0 = built-in default; sessions may override per create)")
+	flag.Func("objectives", "default objective specs for sessions created without any, comma-separated (e.g. \"p95_latency_ms,cost\"; two or more default the strategy to motpe)", func(s string) error { cfg.DefaultObjectives = httpapi.SplitList(s); return nil })
+	flag.StringVar(&cfg.DefaultLiar, "liar", "", "default constant-liar policy for leased candidates: min, mean, or max (empty = mean; sessions may override per create)")
+	flag.IntVar(&cfg.SnapshotEvents, "snapshot-events", 4096, "compact a session's journal to a snapshot + tail once the tail holds this many events (0 = no event trigger)")
+	flag.IntVar(&cfg.SnapshotBytes, "snapshot-bytes", 4<<20, "compact once a session's journal reaches this many bytes (0 = no byte trigger; both triggers 0 = journals grow forever)")
+	flag.IntVar(&cfg.MaxLiveSessions, "max-live-sessions", 0, "keep at most this many sessions hydrated in memory, compacting the least-recently-used ones to their snapshots and rehydrating on demand (0 = unlimited)")
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		data       = flag.String("data", "./hiperbotd-data", "session journal directory (empty = in-memory only)")
-		lease      = flag.Duration("lease", 10*time.Minute, "default candidate lease duration")
-		maxBatch   = flag.Int("max-batch", 256, "largest candidate count per suggest call")
-		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-		fsync      = flag.String("fsync", "interval", "journal fsync policy: never (leave it to the OS), interval (sync once per flush tick), always (sync every append)")
-		flushEvery = flag.Duration("flush-interval", 100*time.Millisecond, "group-commit period for buffered journal appends")
-		flushBytes = flag.Int("flush-bytes", 64<<10, "buffered journal bytes that force a flush before the next tick (0 = write every append through immediately)")
-		poolCap    = flag.Int("pool-cap", 0, "default sampled-pool size for sessions on spaces too large to enumerate (0 = built-in default; sessions may override per create)")
-		objectives = flag.String("objectives", "", "default objective specs for sessions created without any, comma-separated (e.g. \"p95_latency_ms,cost\"; two or more default the strategy to motpe)")
-		liar       = flag.String("liar", "", "default constant-liar policy for leased candidates: min, mean, or max (empty = mean; sessions may override per create)")
-		snapEvents = flag.Int("snapshot-events", 4096, "compact a session's journal to a snapshot + tail once the tail holds this many events (0 = no event trigger)")
-		snapBytes  = flag.Int("snapshot-bytes", 4<<20, "compact once a session's journal reaches this many bytes (0 = no byte trigger; both triggers 0 = journals grow forever)")
-		maxLive    = flag.Int("max-live-sessions", 0, "keep at most this many sessions hydrated in memory, compacting the least-recently-used ones to their snapshots and rehydrating on demand (0 = unlimited)")
-		peers      = flag.String("peers", "", "comma-separated base URLs of every cluster node (self included or not, both work); empty = single-node mode")
-		self       = flag.String("self", "", "this node's advertised base URL, required with -peers (e.g. http://10.0.0.1:8080)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this localhost address (e.g. \"localhost:6060\" or just \"6060\"); empty = disabled. Kept off the service port so profiling is never exposed to workers")
+		addr      = flag.String("addr", ":8080", "listen address")
+		data      = flag.String("data", "./hiperbotd-data", "session journal directory (empty = in-memory only)")
+		lease     = flag.Duration("lease", 10*time.Minute, "default candidate lease duration")
+		maxBatch  = flag.Int("max-batch", 256, "largest candidate count per suggest call")
+		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
+		peers     = flag.String("peers", "", "comma-separated base URLs of every cluster node (self included or not, both work); empty = single-node mode")
+		self      = flag.String("self", "", "this node's advertised base URL, required with -peers (e.g. http://10.0.0.1:8080)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this localhost address (e.g. \"localhost:6060\" or just \"6060\"); empty = disabled. Kept off the service port so profiling is never exposed to workers")
 	)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	logger.Printf("hiperbotd: engines: %s", strings.Join(core.EngineNames(), ", "))
-	policy, err := server.ParseFsyncPolicy(*fsync)
-	if err != nil {
-		logger.Fatalf("hiperbotd: %v", err)
-	}
-	if _, err := core.ParseLiarPolicy(*liar); err != nil {
-		logger.Fatalf("hiperbotd: %v", err)
-	}
-	if *poolCap > core.DefaultEnumerateLimit {
-		// Create rejects a cap above the enumerate limit, so this
-		// default would fail every session create.
-		logger.Fatalf("hiperbotd: -pool-cap %d above its bound %d", *poolCap, core.DefaultEnumerateLimit)
-	}
-	var defaultObjectives []string
-	for _, s := range strings.Split(*objectives, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			defaultObjectives = append(defaultObjectives, s)
-		}
-	}
-	store, err := server.OpenStoreWithConfig(*data, server.StoreConfig{
-		Fsync:             policy,
-		FlushInterval:     *flushEvery,
-		FlushBytes:        *flushBytes,
-		DefaultPoolCap:    *poolCap,
-		DefaultObjectives: defaultObjectives,
-		DefaultLiar:       *liar,
-		SnapshotEvents:    *snapEvents,
-		SnapshotBytes:     *snapBytes,
-		MaxLiveSessions:   *maxLive,
-		Logf:              logger.Printf,
-	})
+	cfg.Logf = logger.Printf
+	store, err := server.OpenStoreWithConfig(*data, cfg)
 	if err != nil {
 		logger.Fatalf("hiperbotd: %v", err)
 	}
@@ -106,12 +83,7 @@ func main() {
 		if *self == "" {
 			logger.Fatalf("hiperbotd: -peers requires -self (this node's advertised URL)")
 		}
-		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
+		peerList := httpapi.SplitList(*peers)
 		if err := srv.EnableCluster(server.ClusterConfig{Self: *self, Peers: peerList}); err != nil {
 			logger.Fatalf("hiperbotd: %v", err)
 		}

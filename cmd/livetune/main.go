@@ -29,7 +29,9 @@ import (
 
 	"github.com/hpcautotune/hiperbot/client"
 	"github.com/hpcautotune/hiperbot/internal/core"
+	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/report"
+	"github.com/hpcautotune/hiperbot/internal/server"
 	"github.com/hpcautotune/hiperbot/internal/space"
 
 	// Registers the "geist", "gp", and "motpe" engines so -strategy
@@ -153,20 +155,24 @@ func kernels() map[string]kernel {
 }
 
 func main() {
+	// The session flags bind straight into one set of session options,
+	// sent to the daemon with -server and mapped to the in-process
+	// tuner's options otherwise.
+	var opts client.SessionOptions
+	flag.Uint64Var(&opts.Seed, "seed", 1, "random seed")
+	flag.StringVar(&opts.Strategy, "strategy", "", "selection engine: "+strings.Join(core.EngineNames(), ", ")+" (default: paper choice)")
+	flag.Func("objectives", "comma-separated objective specs for a multi-objective session (with -server; e.g. p95_latency_ms,cost) — p95 is the worst rep, cost is worker-seconds", func(s string) error { opts.Objectives = httpapi.SplitList(s); return nil })
+	flag.IntVar(&opts.PoolCap, "pool-cap", 0, "sampled candidate pool size on spaces too large to enumerate (0 = default, <0 = disable large-space mode)")
+	flag.IntVar(&opts.CandidateSamples, "candidate-samples", 0, "good-density draws per pick of the pool-free TPE engines: proposal, sampling, grouped, motpe without a pool (0 = the engine's default)")
+	flag.StringVar(&opts.Liar, "liar", "", "constant-liar policy for leased candidates: min, mean, or max (with -server; empty = server default)")
+	flag.Func("groups", "parameter grouping for the grouped strategy, \"a,b;c,d\" (empty = auto-propose)", func(s string) error { opts.Groups = core.ParseGroups(s); return nil })
 	var (
 		name      = flag.String("kernel", "sweep", "kernel to tune: sweep, sweep3d, amg, hydro, chares")
 		budget    = flag.Int("budget", 48, "total measured configurations")
 		reps      = flag.Int("reps", 3, "measurements per configuration (median taken)")
-		seed      = flag.Uint64("seed", 1, "random seed")
 		marginals = flag.Bool("marginals", false, "print the surrogate's per-parameter beliefs")
-		strategy  = flag.String("strategy", "", "selection engine: "+strings.Join(core.EngineNames(), ", ")+" (default: paper choice)")
 		serverURL = flag.String("server", "", "hiperbotd base URL; tune through the daemon instead of in-process")
-		objSpecs  = flag.String("objectives", "", "comma-separated objective specs for a multi-objective session (with -server; e.g. p95_latency_ms,cost) — p95 is the worst rep, cost is worker-seconds")
 		batch     = flag.Int("batch", 4, "candidates leased per suggest call (with -server)")
-		poolCap   = flag.Int("pool-cap", 0, "sampled candidate pool size on spaces too large to enumerate (0 = default, <0 = disable large-space mode)")
-		candSamp  = flag.Int("candidate-samples", 0, "good-density draws per pick of the pool-free TPE engines: proposal, sampling, grouped, motpe without a pool (0 = the engine's default)")
-		liar      = flag.String("liar", "", "constant-liar policy for leased candidates: min, mean, or max (with -server; empty = server default)")
-		groups    = flag.String("groups", "", "parameter grouping for the grouped strategy, \"a,b;c,d\" (empty = auto-propose)")
 	)
 	flag.Parse()
 
@@ -197,27 +203,25 @@ func main() {
 	}
 
 	if *serverURL != "" {
-		objectives := splitSpecs(*objSpecs)
-		tuneRemote(*serverURL, *name, k, measureSorted, *budget, *batch, client.SessionOptions{
-			Seed: *seed, Strategy: *strategy, PoolCap: *poolCap, CandidateSamples: *candSamp,
-			Objectives: objectives, Liar: *liar, Groups: core.ParseGroups(*groups),
-		}, &evals, *marginals)
+		tuneRemote(*serverURL, *name, k, measureSorted, *budget, *batch, opts, &evals, *marginals)
 		return
 	}
-	if *objSpecs != "" {
+	if len(opts.Objectives) > 0 {
 		fmt.Fprintln(os.Stderr, "livetune: -objectives needs -server (the daemon owns multi-objective sessions)")
 		os.Exit(1)
 	}
-	if *liar != "" {
+	if opts.Liar != "" {
 		fmt.Fprintln(os.Stderr, "livetune: -liar needs -server (in-process runs evaluate serially, with no leases to fantasize)")
 		os.Exit(1)
 	}
 
 	start := time.Now()
-	tn, err := core.NewTuner(k.space, objective, core.Options{
-		Seed: *seed, Engine: *strategy, PoolCap: *poolCap, CandidateSamples: *candSamp,
-		Groups: core.ParseGroups(*groups),
-	})
+	tunerOpts, err := server.TunerOptions(opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "livetune:", err)
+		os.Exit(1)
+	}
+	tn, err := core.NewTuner(k.space, objective, tunerOpts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "livetune:", err)
 		os.Exit(1)
@@ -243,17 +247,6 @@ func main() {
 			fmt.Printf("\n(the %s engine has no per-parameter marginals)\n", tn.EngineName())
 		}
 	}
-}
-
-// splitSpecs parses a comma-separated -objectives value.
-func splitSpecs(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 // kernelMetrics builds the multi-metric observation for one measured

@@ -34,19 +34,27 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/hpcautotune/hiperbot/client"
 	"github.com/hpcautotune/hiperbot/internal/core"
+	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/server"
 	"github.com/hpcautotune/hiperbot/internal/space"
 	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
 func main() {
+	// The session flags bind straight into one set of session options,
+	// which every session copies with a seed of its own.
+	var opts client.SessionOptions
+	flag.Uint64Var(&opts.Seed, "seed", 1, "base session seed")
+	flag.StringVar(&opts.Strategy, "strategy", "", "session strategy (empty = server default)")
+	flag.Func("objectives", "comma-separated objective specs; sessions post multi-metric observations (e.g. p95_latency_ms,cost)", func(s string) error { opts.Objectives = httpapi.SplitList(s); return nil })
+	flag.StringVar(&opts.Liar, "liar", "", "constant-liar policy for leased candidates: min, mean, or max (empty = server default)")
+	flag.Func("groups", "parameter grouping for -strategy grouped, \"p0,p1;p2\" over the synthetic p0..pN names (empty = auto-propose)", func(s string) error { opts.Groups = core.ParseGroups(s); return nil })
 	var (
 		serverURL = flag.String("server", "", "daemon base URL (empty = run an in-process daemon over an in-memory store)")
 		sessions  = flag.Int("sessions", 4, "concurrent tuning sessions (M)")
@@ -56,11 +64,6 @@ func main() {
 		params    = flag.Int("params", 5, "synthetic space dimensions")
 		levels    = flag.Int("levels", 8, "levels per dimension")
 		lease     = flag.Duration("lease", time.Minute, "candidate lease duration")
-		seed      = flag.Uint64("seed", 1, "base session seed")
-		strategy  = flag.String("strategy", "", "session strategy (empty = server default)")
-		objSpecs  = flag.String("objectives", "", "comma-separated objective specs; sessions post multi-metric observations (e.g. p95_latency_ms,cost)")
-		liar      = flag.String("liar", "", "constant-liar policy for leased candidates: min, mean, or max (empty = server default)")
-		groups    = flag.String("groups", "", "parameter grouping for -strategy grouped, \"p0,p1;p2\" over the synthetic p0..pN names (empty = auto-propose)")
 		maxDup    = flag.Float64("max-dup-rate", -1, "fail when the duplicate-suggestion fraction exceeds this (e.g. 0.001; <0 = report only)")
 		keep      = flag.Bool("keep", false, "keep the sessions on the daemon after the run")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile (covers the in-process daemon too)")
@@ -93,12 +96,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var peerURLs []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerURLs = append(peerURLs, p)
-		}
-	}
+	peerURLs := httpapi.SplitList(*peers)
 	if len(peerURLs) > 0 && *serverURL != "" {
 		fmt.Fprintln(os.Stderr, "loadgen: -peers and -server are mutually exclusive")
 		os.Exit(2)
@@ -148,26 +146,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	var objectives []string
-	for _, s := range strings.Split(*objSpecs, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			objectives = append(objectives, s)
-		}
-	}
-
 	ctx := context.Background()
 	ids := make([]string, *sessions)
 	for i := range ids {
 		// With -peers, creates round-robin over nodes; anonymous creates
 		// always land on the receiving node (self-owned ids), so sessions
 		// spread ~evenly across the cluster.
-		id, err := cls[i%len(cls)].CreateSessionFromSpace(ctx, "", sp, client.SessionOptions{
-			Seed:       *seed + uint64(i)*7919,
-			Strategy:   *strategy,
-			Objectives: objectives,
-			Liar:       *liar,
-			Groups:     core.ParseGroups(*groups),
-		})
+		so := opts
+		so.Seed += uint64(i) * 7919
+		id, err := cls[i%len(cls)].CreateSessionFromSpace(ctx, "", sp, so)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: create session %d: %v\n", i, err)
 			os.Exit(1)
@@ -249,7 +236,7 @@ func main() {
 			}
 			mu.Unlock()
 			r := client.Result{Config: cfg, Value: objective(c)}
-			if len(objectives) > 0 {
+			if len(opts.Objectives) > 0 {
 				r.Metrics = metrics(c)
 			}
 			results = append(results, r)

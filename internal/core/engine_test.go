@@ -65,6 +65,19 @@ func TestNewTunerUnknownEngine(t *testing.T) {
 	}
 }
 
+// TestNewTunerRejectsNegativeCandidateSamples: a negative draw count
+// is an error for every pool-free engine, as it is at session create,
+// not a silent "use the default".
+func TestNewTunerRejectsNegativeCandidateSamples(t *testing.T) {
+	sp := engineTestSpace()
+	for _, engine := range []string{Proposal, "sampling", "grouped"} {
+		_, err := NewTuner(sp, func(space.Config) float64 { return 0 }, Options{Engine: engine, CandidateSamples: -1})
+		if err == nil || !strings.Contains(err.Error(), "candidate samples") {
+			t.Fatalf("%s with CandidateSamples -1: err = %v, want a candidate-samples error", engine, err)
+		}
+	}
+}
+
 // TestScoreBatchMatchesScore pins the bit-identical guarantee the
 // ranking engine's golden parity rests on: the columnar sweep must
 // accumulate per dimension in the same order as Score.

@@ -52,7 +52,8 @@ type Options struct {
 	// pool-free TPE acquirer scores per pick (Proposal, "sampling",
 	// grouped's per-group draws, motpe without a pool); 0 keeps the
 	// engine's own count: 100 for Proposal and motpe, and
-	// DefaultCandidateSamples for the others.
+	// DefaultCandidateSamples for the others. A negative count is a
+	// construction error.
 	CandidateSamples int
 	// Groups partitions the parameter space for the "grouped" engine:
 	// each inner slice names the parameters of one group (see
@@ -127,6 +128,9 @@ func NewTuner(sp *space.Space, obj Objective, opts Options) (*Tuner, error) {
 	}
 	if opts.InitialSamples < 2 {
 		return nil, fmt.Errorf("core: need at least 2 initial samples, got %d", opts.InitialSamples)
+	}
+	if opts.CandidateSamples < 0 {
+		return nil, fmt.Errorf("core: candidate samples must be >= 0, got %d", opts.CandidateSamples)
 	}
 	if err := opts.Surrogate.validate(); err != nil {
 		return nil, err

@@ -30,7 +30,7 @@ func AblationSelection(cfg Config) ([]AblationRow, error) {
 	for _, engine := range []string{core.Ranking, core.Proposal} {
 		var sum float64
 		for rep := 0; rep < cfg.Repetitions; rep++ {
-			m := harness.HiPerBOt(harness.HiPerBOtOptions{Engine: engine})
+			m := harness.HiPerBOt(core.Options{Engine: engine})
 			h, err := m.Run(tbl, 96, cfg.Seed+uint64(rep)*101)
 			if err != nil {
 				return nil, err
@@ -56,7 +56,7 @@ func AblationThreshold(cfg Config) ([]AblationRow, error) {
 	for _, alpha := range []float64{0.05, 0.10, 0.20, 0.35, 0.50} {
 		var sum float64
 		for rep := 0; rep < cfg.Repetitions; rep++ {
-			m := harness.HiPerBOt(harness.HiPerBOtOptions{Quantile: alpha})
+			m := harness.HiPerBOt(core.Options{Surrogate: core.SurrogateConfig{Quantile: alpha}})
 			h, err := m.Run(tbl, sensitivityTotal, cfg.Seed+uint64(rep)*103)
 			if err != nil {
 				return nil, err
@@ -98,10 +98,10 @@ func AblationTransferWeight(cfg Config) ([]AblationRow, error) {
 	for _, w := range []float64{0, 0.25, 1, 4, 16} {
 		var sum float64
 		for rep := 0; rep < reps; rep++ {
-			opts := harness.HiPerBOtOptions{}
+			opts := core.Options{}
 			if w > 0 {
-				opts.Prior = prior
-				opts.PriorWeight = w
+				opts.Surrogate.Prior = prior
+				opts.Surrogate.PriorWeight = w
 			}
 			m := harness.HiPerBOt(opts)
 			h, err := m.Run(tgt, budget, cfg.Seed+uint64(rep)*107)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
 	"github.com/hpcautotune/hiperbot/internal/harness"
 )
@@ -79,7 +80,7 @@ func VerifyClaims(cfg Config) ([]ClaimResult, error) {
 		Table: tbl, Tolerance: 0, MaxBudget: 400,
 		Repetitions: headlineReps, BaseSeed: cfg.Seed,
 	}
-	hbT, err := harness.EvaluationsToTarget(harness.HiPerBOt(harness.HiPerBOtOptions{}), spec)
+	hbT, err := harness.EvaluationsToTarget(harness.HiPerBOt(core.Options{}), spec)
 	if err != nil {
 		return nil, err
 	}

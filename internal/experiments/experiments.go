@@ -28,6 +28,7 @@ import (
 	"github.com/hpcautotune/hiperbot/internal/apps/kripke"
 	"github.com/hpcautotune/hiperbot/internal/apps/lulesh"
 	"github.com/hpcautotune/hiperbot/internal/apps/openatom"
+	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/harness"
 )
 
@@ -86,7 +87,7 @@ func configSelection(model *apps.Model, checkpoints []int, cfg Config) (*Selecti
 	methods := []harness.Method{
 		harness.Random(),
 		harness.GEIST(harness.GEISTOptions{}),
-		harness.HiPerBOt(harness.HiPerBOtOptions{}),
+		harness.HiPerBOt(core.Options{}),
 	}
 	curves, err := harness.RunCurves(methods, spec)
 	if err != nil {

@@ -31,8 +31,8 @@ const sensitivityTotal = 150
 // budget fixed at 150 (paper Fig. 7a).
 func Fig7Initial(cfg Config) (*SensitivityResult, error) {
 	values := []float64{10, 20, 40, 60, 80, 100}
-	return sensitivity(cfg, "initial samples", values, func(v float64) harness.HiPerBOtOptions {
-		return harness.HiPerBOtOptions{InitialSamples: int(v)}
+	return sensitivity(cfg, "initial samples", values, func(v float64) core.Options {
+		return core.Options{InitialSamples: int(v)}
 	})
 }
 
@@ -40,12 +40,12 @@ func Fig7Initial(cfg Config) (*SensitivityResult, error) {
 // 20 initial samples (paper Fig. 7b).
 func Fig7Threshold(cfg Config) (*SensitivityResult, error) {
 	values := []float64{0.01, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50}
-	return sensitivity(cfg, "percentile threshold", values, func(v float64) harness.HiPerBOtOptions {
-		return harness.HiPerBOtOptions{Quantile: v}
+	return sensitivity(cfg, "percentile threshold", values, func(v float64) core.Options {
+		return core.Options{Surrogate: core.SurrogateConfig{Quantile: v}}
 	})
 }
 
-func sensitivity(cfg Config, name string, values []float64, mk func(v float64) harness.HiPerBOtOptions) (*SensitivityResult, error) {
+func sensitivity(cfg Config, name string, values []float64, mk func(v float64) core.Options) (*SensitivityResult, error) {
 	cfg = cfg.withDefaults()
 	res := &SensitivityResult{Hyperparameter: name, Values: values}
 	for _, model := range AllModels() {

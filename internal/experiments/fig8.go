@@ -93,7 +93,7 @@ func transfer(srcModel, tgtModel *apps.Model, cfg Config) (*TransferResult, erro
 	err = forEachRep(reps, cfg.Parallelism, func(rep int) error {
 		seed := cfg.Seed + uint64(rep)*6151
 
-		hbot := harness.HiPerBOt(harness.HiPerBOtOptions{Prior: prior, PriorWeight: 1})
+		hbot := harness.HiPerBOt(core.Options{Surrogate: core.SurrogateConfig{Prior: prior, PriorWeight: 1}})
 		hHist, err := hbot.Run(tgt, budget, seed)
 		if err != nil {
 			return fmt.Errorf("experiments: transfer hiperbot: %w", err)
@@ -148,7 +148,7 @@ type OverheadResult struct {
 // configurations took more than 19 hours").
 func TunerOverhead(seed uint64) (*OverheadResult, error) {
 	tbl := lulesh.Flags().Table()
-	m := harness.HiPerBOt(harness.HiPerBOtOptions{})
+	m := harness.HiPerBOt(core.Options{})
 	start := time.Now()
 	h, err := m.Run(tbl, sensitivityTotal, seed)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/hpcautotune/hiperbot/internal/apps/kripke"
+	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/harness"
 )
 
@@ -23,7 +24,7 @@ func TestTransitiveOrderingHiPerBOtGeistGP(t *testing.T) {
 		BaseSeed:    41,
 	}
 	curves, err := harness.RunCurves([]harness.Method{
-		harness.HiPerBOt(harness.HiPerBOtOptions{}),
+		harness.HiPerBOt(core.Options{}),
 		harness.GEIST(harness.GEISTOptions{}),
 		harness.GP(),
 	}, spec)

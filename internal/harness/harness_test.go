@@ -87,7 +87,7 @@ func TestRunCurveShapesAndSanity(t *testing.T) {
 		Repetitions: 8,
 		BaseSeed:    5,
 	}
-	curve, err := RunCurve(HiPerBOt(HiPerBOtOptions{InitialSamples: 10}), spec)
+	curve, err := RunCurve(HiPerBOt(core.Options{InitialSamples: 10}), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestHiPerBOtBeatsRandomOnCurve(t *testing.T) {
 		BaseSeed:    77,
 	}
 	curves, err := RunCurves([]Method{
-		HiPerBOt(HiPerBOtOptions{InitialSamples: 10}),
+		HiPerBOt(core.Options{InitialSamples: 10}),
 		Random(),
 	}, spec)
 	if err != nil {
@@ -173,11 +173,11 @@ func TestRunCurveValidation(t *testing.T) {
 func TestRunCurveDeterministic(t *testing.T) {
 	tbl := gridTable(t)
 	spec := CurveSpec{Table: tbl, Checkpoints: []int{20, 40}, Repetitions: 6, BaseSeed: 11}
-	a, err := RunCurve(HiPerBOt(HiPerBOtOptions{InitialSamples: 10}), spec)
+	a, err := RunCurve(HiPerBOt(core.Options{InitialSamples: 10}), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCurve(HiPerBOt(HiPerBOtOptions{InitialSamples: 10}), spec)
+	b, err := RunCurve(HiPerBOt(core.Options{InitialSamples: 10}), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

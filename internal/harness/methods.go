@@ -18,40 +18,23 @@ type Method struct {
 	Run  func(tbl *dataset.Table, budget int, seed uint64) (*core.History, error)
 }
 
-// HiPerBOtOptions tweaks the HiPerBOt method wrapper; zero values
-// reproduce the paper's setup (20 initial samples, α = 0.20, Ranking).
-// Engine names the selection engine (core.Ranking, core.Proposal, ...).
-type HiPerBOtOptions struct {
-	InitialSamples int
-	Quantile       float64
-	Engine         string
-	Prior          *core.Prior
-	PriorWeight    float64
-}
-
-// HiPerBOt wraps the core tuner as a harness method. The dataset's
-// rows become the Ranking candidate pool, so the tuner only ever
-// proposes measured configurations.
-func HiPerBOt(opts HiPerBOtOptions) Method {
+// HiPerBOt wraps the core tuner as a harness method. opts are the
+// tuner's options (the zero value is the paper's setup: 20 initial
+// samples, α = 0.20, Ranking); each run sets only its seed and the
+// candidates. The dataset's rows become the Ranking candidate pool, so
+// the tuner only ever proposes measured configurations.
+func HiPerBOt(opts core.Options) Method {
 	name := "HiPerBOt"
-	if opts.Prior != nil {
+	if opts.Surrogate.Prior != nil {
 		name = "HiPerBOt+transfer"
 	}
 	return Method{
 		Name: name,
 		Run: func(tbl *dataset.Table, budget int, seed uint64) (*core.History, error) {
-			tunerOpts := core.Options{
-				InitialSamples: opts.InitialSamples,
-				Surrogate: core.SurrogateConfig{
-					Quantile:    opts.Quantile,
-					Prior:       opts.Prior,
-					PriorWeight: opts.PriorWeight,
-				},
-				Engine:     opts.Engine,
-				Seed:       seed,
-				Candidates: tbl.Configs(),
-			}
-			tn, err := core.NewTuner(tbl.Space, tbl.Objective(), tunerOpts)
+			run := opts
+			run.Seed = seed
+			run.Candidates = tbl.Configs()
+			tn, err := core.NewTuner(tbl.Space, tbl.Objective(), run)
 			if err != nil {
 				return nil, err
 			}
@@ -72,7 +55,7 @@ func HiPerBOt(opts HiPerBOtOptions) Method {
 // tuner loop, so e.g. "geist" here uses the tuner's RNG stream, not
 // the legacy geist.Sampler bootstrap stream (use GEIST for that).
 func Engine(name string) Method {
-	m := HiPerBOt(HiPerBOtOptions{Engine: name})
+	m := HiPerBOt(core.Options{Engine: name})
 	m.Name = name
 	return m
 }

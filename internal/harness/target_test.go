@@ -3,6 +3,8 @@ package harness
 import (
 	"math"
 	"testing"
+
+	"github.com/hpcautotune/hiperbot/internal/core"
 )
 
 func TestEvaluationsToTargetBasics(t *testing.T) {
@@ -11,7 +13,7 @@ func TestEvaluationsToTargetBasics(t *testing.T) {
 		Table: tbl, Tolerance: 0, MaxBudget: tbl.Len(),
 		Repetitions: 8, BaseSeed: 3,
 	}
-	res, err := EvaluationsToTarget(HiPerBOt(HiPerBOtOptions{InitialSamples: 10}), spec)
+	res, err := EvaluationsToTarget(HiPerBOt(core.Options{InitialSamples: 10}), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestHiPerBOtNeedsFewerEvaluationsThanRandom(t *testing.T) {
 		Table: tbl, Tolerance: 0.05, MaxBudget: tbl.Len(),
 		Repetitions: 10, BaseSeed: 17,
 	}
-	hb, err := EvaluationsToTarget(HiPerBOt(HiPerBOtOptions{InitialSamples: 10}), spec)
+	hb, err := EvaluationsToTarget(HiPerBOt(core.Options{InitialSamples: 10}), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

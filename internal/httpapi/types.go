@@ -8,11 +8,16 @@
 // ones — the same schema the Recorder journals use.
 package httpapi
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"strings"
+)
 
 // SessionOptions is the JSON-serializable subset of core.Options plus
 // the surrogate hyperparameters. Zero fields take the paper defaults
 // (20 initial samples, α = 0.20, ranking on finite spaces).
+// server.TunerOptions is the one mapping from these fields to
+// core.Options, and so defines what each field means.
 type SessionOptions struct {
 	// InitialSamples seeds the history with uniform random draws.
 	InitialSamples int `json:"initial_samples,omitempty"`
@@ -75,6 +80,19 @@ type SessionOptions struct {
 	// unknown or repeated names fail session creation with 400. Ignored
 	// by other strategies.
 	Groups [][]string `json:"groups,omitempty"`
+}
+
+// SplitList parses a comma-separated flag value, such as objective
+// specs or peer URLs, into its trimmed non-empty items; nil when there
+// are none.
+func SplitList(s string) []string {
+	var out []string
+	for _, item := range strings.Split(s, ",") {
+		if item = strings.TrimSpace(item); item != "" {
+			out = append(out, item)
+		}
+	}
+	return out
 }
 
 // CreateSessionRequest creates a named tuning session.

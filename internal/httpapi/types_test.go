@@ -75,3 +75,19 @@ func TestObserveResponseParetoFrontOmitted(t *testing.T) {
 		t.Fatalf("single-objective response leaked pareto_front: %s", data)
 	}
 }
+
+// TestSplitList pins the comma-list flag syntax shared by the CLIs:
+// items are trimmed, empty items dropped, and no items is nil.
+func TestSplitList(t *testing.T) {
+	for in, want := range map[string][]string{
+		"":                        nil,
+		" , ,":                    nil,
+		"p95_latency_ms":          {"p95_latency_ms"},
+		" p95_latency_ms , cost,": {"p95_latency_ms", "cost"},
+		"http://a:1,http://b:2":   {"http://a:1", "http://b:2"},
+	} {
+		if got := SplitList(in); !reflect.DeepEqual(got, want) {
+			t.Errorf("SplitList(%q) = %q, want %q", in, got, want)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/hpcautotune/hiperbot/internal/apps/huge"
+	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/space"
 )
@@ -220,6 +221,30 @@ func TestStoreDefaultPoolCap(t *testing.T) {
 	if got := sess2.at.Tuner().SampledPoolSize(); got != 64 {
 		t.Fatalf("resumed sampled pool size = %d, want 64", got)
 	}
+}
+
+// TestOpenStoreRejectsBadDefaults: a session default that create would
+// reject fails the store open, instead of failing every create that
+// falls back to it.
+func TestOpenStoreRejectsBadDefaults(t *testing.T) {
+	for name, cfg := range map[string]StoreConfig{
+		"unknown objective":  {DefaultObjectives: []string{"bogus"}},
+		"repeated objective": {DefaultObjectives: []string{"cost", "cost"}},
+		"unknown liar":       {DefaultLiar: "optimistic"},
+		"pool cap too large": {DefaultPoolCap: core.DefaultEnumerateLimit + 1},
+	} {
+		if store, err := OpenStoreWithConfig(t.TempDir(), cfg); err == nil {
+			store.Close()
+			t.Errorf("%s: OpenStoreWithConfig(%+v) succeeded", name, cfg)
+		}
+	}
+	store, err := OpenStoreWithConfig(t.TempDir(), StoreConfig{
+		DefaultObjectives: []string{"p95_latency_ms", "cost"}, DefaultLiar: "min", DefaultPoolCap: core.DefaultEnumerateLimit,
+	})
+	if err != nil {
+		t.Fatalf("valid defaults: %v", err)
+	}
+	store.Close()
 }
 
 // TestRejectedCreateLeavesNoJournal: a create the tuner refuses

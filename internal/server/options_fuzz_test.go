@@ -13,7 +13,7 @@ import (
 
 // FuzzSessionOptions decodes session options as the create handler
 // does and runs them through the checks create makes before it writes
-// a journal header: checkCountBounds, coreOptions, objective.ParseSet
+// a journal header: checkCountBounds, TunerOptions, objective.ParseSet
 // and core.ValidateGroups. Options all four accept build a tuner on
 // testSpace, which must serve one Ask(1). The oracle: nothing panics;
 // no negative count, and no count above its bound, gets past the
@@ -59,14 +59,14 @@ func FuzzSessionOptions(f *testing.F) {
 		if decodeJSON(data, &o) != nil {
 			return
 		}
-		opts, err := coreOptions(o)
+		opts, err := TunerOptions(o)
 		if err == nil && o.ProposalCandidates > 0 {
 			alias := o
 			if alias.CandidateSamples == 0 {
 				alias.CandidateSamples = o.ProposalCandidates
 			}
 			alias.ProposalCandidates = 0
-			want, werr := coreOptions(alias)
+			want, werr := TunerOptions(alias)
 			if werr != nil || !reflect.DeepEqual(opts, want) {
 				t.Fatalf("proposal_candidates %d gives %+v; candidate_samples %d gives %+v, %v",
 					o.ProposalCandidates, opts, alias.CandidateSamples, want, werr)

@@ -212,7 +212,7 @@ func mergeSessionInfos(local, remote []httpapi.SessionInfo) []httpapi.SessionInf
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) (int, error) {
 	sess, err := s.store.Get(r.PathValue("id"))
 	if err != nil {
-		return http.StatusNotFound, err
+		return sessionStatus(err), err
 	}
 	writeJSON(w, http.StatusOK, sess.Info())
 	return http.StatusOK, nil
@@ -242,10 +242,8 @@ func (s *Server) handleImportance(w http.ResponseWriter, r *http.Request) (int, 
 		return nil
 	})
 	switch {
-	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound, err
 	case err != nil:
-		return http.StatusInternalServerError, err
+		return sessionStatus(err), err
 	case notReady != nil:
 		return http.StatusConflict, notReady
 	}
@@ -256,10 +254,7 @@ func (s *Server) handleImportance(w http.ResponseWriter, r *http.Request) (int, 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (int, error) {
 	id := r.PathValue("id")
 	if err := s.store.Delete(id); err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return http.StatusNotFound, err
-		}
-		return http.StatusInternalServerError, err
+		return sessionStatus(err), err
 	}
 	s.logf("hiperbotd: deleted session %s", id)
 	w.WriteHeader(http.StatusNoContent)
@@ -299,11 +294,8 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) (int, err
 		}
 		return nil
 	})
-	switch {
-	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound, err
-	case err != nil:
-		return http.StatusConflict, err
+	if err != nil {
+		return sessionStatus(err), err
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return http.StatusOK, nil
@@ -339,14 +331,12 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) (int, error
 		return http.StatusBadRequest, err
 	}
 	var resp httpapi.RenewResponse
-	var badReq error
 	err = s.store.WithSession(r.PathValue("id"), func(sess *Session) error {
 		configs := make([]space.Config, len(req.Configs))
 		for i, labels := range req.Configs {
 			c, err := sess.Space().FromLabels(labels)
 			if err != nil {
-				badReq = fmt.Errorf("server: config %d: %w", i, err)
-				return nil
+				return &InvalidConfigError{Reason: fmt.Errorf("server: config %d: %w", i, err)}
 			}
 			configs[i] = c
 		}
@@ -360,13 +350,8 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) (int, error
 		}
 		return nil
 	})
-	switch {
-	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound, err
-	case err != nil:
-		return http.StatusInternalServerError, err
-	case badReq != nil:
-		return http.StatusBadRequest, badReq
+	if err != nil {
+		return sessionStatus(err), err
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return http.StatusOK, nil
@@ -381,7 +366,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) (int, err
 		return http.StatusBadRequest, fmt.Errorf("server: observe request without results")
 	}
 	var resp httpapi.ObserveResponse
-	var badReq error
 	// Each ObserveResult takes the session lock on its own, so eviction
 	// may run between two results of a batch; the next result then
 	// rehydrates the session in place, with every earlier result in its
@@ -394,22 +378,16 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) (int, err
 		for i, res := range req.Results {
 			c, err := sess.Space().FromLabels(res.Config)
 			if err != nil {
-				badReq = fmt.Errorf("server: result %d: %w", i, err)
-				return nil
+				return &InvalidConfigError{Reason: fmt.Errorf("server: result %d: %w", i, err)}
 			}
 			configs[i] = c
 		}
 		resp = httpapi.ObserveResponse{}
 		for i, c := range configs {
 			added, err := sess.ObserveResult(c, req.Results[i].Value, req.Results[i].Metrics)
-			var invConfig *InvalidConfigError
-			var invResult *InvalidResultError
 			switch {
-			case errors.As(err, &invConfig), errors.As(err, &invResult):
-				badReq = fmt.Errorf("server: result %d: %w", i, err)
-				return nil
 			case err != nil:
-				return err
+				return fmt.Errorf("server: result %d: %w", i, err)
 			case added:
 				resp.Added++
 			default:
@@ -424,16 +402,26 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) (int, err
 		resp.ParetoFront = info.ParetoFront
 		return nil
 	})
-	switch {
-	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound, err
-	case err != nil:
-		return http.StatusInternalServerError, err
-	case badReq != nil:
-		return http.StatusBadRequest, badReq
+	if err != nil {
+		return sessionStatus(err), err
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return http.StatusOK, nil
+}
+
+// sessionStatus is the HTTP status of a session route's error: 404 for
+// an unknown session, 400 for malformed input, and 500 for anything
+// else, such as a listed session whose files fail to load.
+func sessionStatus(err error) int {
+	var invConfig *InvalidConfigError
+	var invResult *InvalidResultError
+	switch {
+	case errors.Is(err, ErrNotFound):
+		return http.StatusNotFound
+	case errors.As(err, &invConfig), errors.As(err, &invResult):
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) (int, error) {

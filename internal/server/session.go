@@ -90,7 +90,7 @@ func (s *Session) hydrateLocked() error {
 // objective lives on the workers' side of the wire; the tuner is only
 // ever driven through Ask/Tell, never Step/Run.
 func (s *Session) newAskTell() (*core.AskTell, error) {
-	opts, err := coreOptions(s.opts)
+	opts, err := TunerOptions(s.opts)
 	if err != nil {
 		return nil, err
 	}

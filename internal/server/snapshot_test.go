@@ -274,6 +274,48 @@ func TestEvictedSessionListingAndMetrics(t *testing.T) {
 	}
 }
 
+// TestCorruptEvictedSessionAnswers500: an evicted session whose
+// snapshot fails its checksum is still listed, so every session route
+// answers 500, not 404 (the client would report a live session as
+// gone) or 409.
+func TestCorruptEvictedSessionAnswers500(t *testing.T) {
+	dir := t.TempDir()
+	srv, store := newCompactingServer(t, dir, StoreConfig{SnapshotEvents: 4, MaxLiveSessions: 1})
+	defer store.Close()
+	id := createTestSession(t, srv, "cold", httpapi.SessionOptions{Seed: 1, InitialSamples: 2})
+	drive(t, srv, id, 6, 2)
+	createTestSession(t, srv, "hot", httpapi.SessionOptions{Seed: 2}) // evicts "cold"
+	spath := store.snapshotPath(id)
+	data, err := os.ReadFile(spath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(spath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := map[string]string{"x": "0", "y": "0"}
+	for _, r := range []struct {
+		method, path string
+		body         any
+	}{
+		{"GET", "", nil},
+		{"POST", "/suggest", httpapi.SuggestRequest{Count: 1}},
+		{"POST", "/observe", httpapi.ObserveRequest{Results: []httpapi.Result{{Config: cfg, Value: 1}}}},
+		{"POST", "/renew", httpapi.RenewRequest{Configs: []map[string]string{cfg}}},
+		{"GET", "/importance", nil},
+	} {
+		if code := doJSON(t, srv, r.method, "/v1/sessions/"+id+r.path, r.body, nil); code != http.StatusInternalServerError {
+			t.Errorf("%s /v1/sessions/%s%s on a corrupt evicted session: HTTP %d, want 500", r.method, id, r.path, code)
+		}
+	}
+	var list httpapi.SessionListResponse
+	if code := doJSON(t, srv, "GET", "/v1/sessions", nil, &list); code != 200 || len(list.Sessions) != 2 {
+		t.Fatalf("list: HTTP %d, %d sessions; want both still listed", code, len(list.Sessions))
+	}
+}
+
 // TestChoppedTailResume kills the final journal line mid-byte (the
 // crash-mid-append signature) and checks the session resumes from the
 // intact prefix, with the torn bytes truncated away and a warning

@@ -191,10 +191,22 @@ func OpenStore(dir string) (*Store, error) {
 }
 
 // OpenStoreWithConfig is OpenStore with explicit journaling behavior.
+// It fails on a session default that create would reject.
 func OpenStoreWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 	policy, err := ParseFsyncPolicy(string(cfg.Fsync))
 	if err != nil {
 		return nil, err
+	}
+	// Create applies the session defaults to every session that sets
+	// none of its own, so they get create's checks here.
+	if err := checkCountBounds(httpapi.SessionOptions{PoolCap: cfg.DefaultPoolCap}); err != nil {
+		return nil, err
+	}
+	if _, err := objective.ParseSet(cfg.DefaultObjectives); err != nil {
+		return nil, fmt.Errorf("server: default objectives: %w", err)
+	}
+	if _, err := core.ParseLiarPolicy(cfg.DefaultLiar); err != nil {
+		return nil, fmt.Errorf("server: default liar: %w", err)
 	}
 	cfg.Fsync = policy
 	if cfg.FlushInterval <= 0 {
@@ -827,48 +839,30 @@ func newID() string {
 	return "s-" + hex.EncodeToString(b[:])
 }
 
-// coreOptions translates wire options into core.Options. The
-// deprecated proposal_candidates is an alias of candidate_samples: it
-// sets CandidateSamples when candidate_samples is 0.
-func coreOptions(o httpapi.SessionOptions) (core.Options, error) {
-	if o.CandidateSamples < 0 {
-		return core.Options{}, fmt.Errorf("server: candidate_samples must be >= 0, got %d", o.CandidateSamples)
-	}
+// TunerOptions is the one mapping from wire session options to
+// core.Options: create, resume and rehydration build every session's
+// tuner from it, and in-process CLIs that take the session flags use
+// it too. core.NewTuner checks what it maps (engine name, liar policy,
+// counts). The deprecated proposal_candidates is an alias of
+// candidate_samples: it sets CandidateSamples when candidate_samples
+// is 0.
+func TunerOptions(o httpapi.SessionOptions) (core.Options, error) {
 	if o.ProposalCandidates < 0 {
 		return core.Options{}, fmt.Errorf("server: proposal_candidates must be >= 0, got %d", o.ProposalCandidates)
 	}
 	opts := core.Options{
 		InitialSamples:   o.InitialSamples,
 		Seed:             o.Seed,
+		Engine:           o.Strategy,
 		PoolCap:          o.PoolCap,
 		CandidateSamples: o.CandidateSamples,
 		Liar:             o.Liar,
 		Groups:           o.Groups,
-		Surrogate:        coreSurrogateConfig(o),
+		Surrogate:        core.SurrogateConfig{Quantile: o.Quantile, Smoothing: o.Smoothing, Bandwidth: o.Bandwidth, Bins: o.Bins},
 	}
 	if opts.CandidateSamples == 0 {
 		opts.CandidateSamples = o.ProposalCandidates
 	}
-	// Liar is validated here so a bad policy fails creation with 400
-	// before the journal header is written, like a bad strategy.
-	if _, err := core.ParseLiarPolicy(o.Liar); err != nil {
-		return core.Options{}, fmt.Errorf("server: %w", err)
-	}
-	// Strategy selects any registered engine by name ("ranking",
-	// "proposal", "random", "geist" when compiled in, ...). The empty
-	// string is passed through so NewTuner applies the paper default —
-	// ranking on enumerable spaces, the pool-free sampling engine on
-	// grids past the enumerate limit. Non-empty names are validated
-	// here so session creation fails with a 400 rather than deep
-	// inside NewTuner.
-	name := strings.ToLower(o.Strategy)
-	if name != "" {
-		if _, ok := core.LookupEngine(name); !ok {
-			return core.Options{}, fmt.Errorf("server: unknown strategy %q (registered: %s)",
-				o.Strategy, strings.Join(core.EngineNames(), ", "))
-		}
-	}
-	opts.Engine = name
 	return opts, nil
 }
 
@@ -898,14 +892,4 @@ func checkCountBounds(o httpapi.SessionOptions) error {
 		}
 	}
 	return nil
-}
-
-// coreSurrogateConfig extracts the surrogate hyperparameters.
-func coreSurrogateConfig(o httpapi.SessionOptions) core.SurrogateConfig {
-	return core.SurrogateConfig{
-		Quantile:  o.Quantile,
-		Smoothing: o.Smoothing,
-		Bandwidth: o.Bandwidth,
-		Bins:      o.Bins,
-	}
 }
