@@ -137,7 +137,7 @@ func BenchmarkHeadlineEvaluationsToBest(b *testing.B) {
 	}
 	for _, m := range []harness.Method{
 		harness.HiPerBOt(core.Options{}),
-		harness.GEIST(harness.GEISTOptions{}),
+		harness.GEIST(geist.Options{}, false),
 		harness.Random(),
 	} {
 		m := m
@@ -483,7 +483,7 @@ func BenchmarkExtendedBaselinesGP(b *testing.B) {
 	}
 	for _, m := range []harness.Method{
 		harness.HiPerBOt(core.Options{}),
-		harness.GEIST(harness.GEISTOptions{}),
+		harness.GEIST(geist.Options{}, false),
 		harness.GP(),
 	} {
 		m := m

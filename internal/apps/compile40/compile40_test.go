@@ -189,8 +189,8 @@ func askTell40(b *testing.B, at *core.AskTell, k int, now time.Time) {
 }
 
 // BenchmarkAskTellFlat40 is BenchmarkAskFlat40 through AskTell: one
-// Ask(1) plus its Tell, so each pick also pays the lease, the pending
-// overlay and the suggestion log that Tuner.Step skips.
+// Ask(1) plus its Tell, so each pick also pays the lease, its pending
+// overlay row and its expiry entry, that Tuner.Step skips.
 func BenchmarkAskTellFlat40(b *testing.B) {
 	at := core.NewAskTell(benchTuner(b, "sampling", nil))
 	now := time.Unix(0, 0)

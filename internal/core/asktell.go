@@ -18,113 +18,35 @@ import (
 // expires the candidate silently returns to the pool.
 //
 // Leases are pending-aware: every leased configuration is fantasized
-// into the history's pending overlay (History.AddPending) so fits see
-// it as a constant-liar observation, and Ask selects one candidate at
-// a time — fantasizing each pick before the next — so a single batch
-// is internally diverse and concurrent askers are steered away from
-// in-flight work. A released lease (result told, expiry, or renewal
-// lapse) drops its fantasy with it.
+// into the history's pending overlay so fits see it as a constant-liar
+// observation, and Ask selects one candidate at a time — fantasizing
+// each pick before the next — so a single batch is internally diverse
+// and concurrent askers are steered away from in-flight work. The
+// overlay row is the lease: AskTell keeps only each lease's expiry
+// version beside it, and the tuner's pool marks the leased candidate.
+// A released lease (result told, expiry, or renewal lapse) drops its
+// fantasy with it.
 //
 // AskTell is not safe for concurrent use; callers (the hiperbotd
 // session layer) serialize access with their own lock.
-
-// Lease records one outstanding candidate: handed to a caller of Ask,
-// not yet reported through Tell.
-type Lease struct {
-	// Config is the leased candidate.
-	Config space.Config
-	// Expires is the deadline after which the lease lapses and the
-	// candidate may be suggested again. The zero time never expires.
-	Expires time.Time
-
-	// ver matches the lease to its live expiry-heap entry; renewals
-	// bump it, orphaning the superseded heap entries (lazy deletion).
-	ver uint64
-}
 
 // AskTell wraps a Tuner with lease bookkeeping for service-style
 // driving: Ask leases candidates, Tell reports results (idempotently)
 // and releases the matching lease.
 type AskTell struct {
-	t      *Tuner
-	leased LeaseFilter // the live leases, as acquisition tests them
-	heap   leaseHeap   // expiry-ordered; never holds forever-leases
-	ver    uint64      // monotonic heap-entry version counter
+	t    *Tuner
+	vers []uint64  // per pending-overlay row, in its order: the version of its lease's live heap entry
+	heap leaseHeap // expiry-ordered; never holds forever-leases
+	ver  uint64    // monotonic heap-entry version counter
 
-	suggested configSet // every configuration ever handed out by Ask
-	dups      int64     // re-suggestions of a previously handed-out configuration
+	lapsed configSet // configurations whose lease expired, neither re-issued nor observed since
+	dups   int64     // re-issues of a lapsed configuration
 }
 
 // NewAskTell wraps t. The tuner must not be driven through Step/Run
 // concurrently with Ask/Tell.
 func NewAskTell(t *Tuner) *AskTell {
-	id := t.history.identity()
-	a := &AskTell{
-		t:         t,
-		leased:    LeaseFilter{index: configIndex{id: id}, pool: t.pool},
-		suggested: configSet{configIndex: configIndex{id: id}},
-	}
-	if t.pool != nil {
-		a.leased.bits = make([]uint64, (t.pool.Size()+63)/64)
-	}
-	return a
-}
-
-// LeaseFilter is the set of live leases as acquisition tests it: the
-// leases indexed by configuration identity, for configurations drawn
-// outside the pool, plus a bitset over the candidate indices of the
-// tuner's pool, sized once in NewAskTell, so loops over the pool test
-// an index. A nil filter reports nothing leased.
-type LeaseFilter struct {
-	live  []Lease     // the live leases, in no particular order
-	index configIndex // live by configuration identity
-	pool  *Pool       // the pool bits indexes; nil for pool-free tuners
-	bits  []uint64    // leased candidate indices of pool
-}
-
-func (f *LeaseFilter) row(i int) space.Config { return f.live[i].Config }
-
-// Has reports whether configuration c is leased.
-func (f *LeaseFilter) Has(c space.Config) bool {
-	return f != nil && len(c) == f.index.id.arity() && f.has(c, f.index.id.hash(c))
-}
-
-// has is Has for a row of the space's arity whose identity hash is h.
-func (f *LeaseFilter) has(c space.Config, h uint64) bool {
-	return f != nil && f.index.lookup(c, h, f.row) >= 0
-}
-
-// HasIndex reports whether candidate i of the tuner's pool is leased.
-func (f *LeaseFilter) HasIndex(i int) bool {
-	return f != nil && f.bits[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// mark sets (on) or clears the bit of c when c is a candidate of the
-// pool the bitset indexes.
-func (f *LeaseFilter) mark(c space.Config, on bool) {
-	if f.pool == nil {
-		return
-	}
-	i := f.pool.IndexOf(c)
-	if i < 0 {
-		return
-	}
-	bit := uint64(1) << (uint(i) & 63)
-	if on {
-		f.bits[i>>6] |= bit
-	} else {
-		f.bits[i>>6] &^= bit
-	}
-}
-
-// filter returns the lease filter for the next acquisition: nil while
-// no lease is live, so the serial path runs exactly as a tuner without
-// leases.
-func (a *AskTell) filter() *LeaseFilter {
-	if len(a.leased.live) == 0 {
-		return nil
-	}
-	return &a.leased
+	return &AskTell{t: t, lapsed: configSet{configIndex: configIndex{id: t.history.identity()}}}
 }
 
 // Tuner returns the wrapped tuner.
@@ -138,10 +60,10 @@ func (a *AskTell) InitialPhase() bool {
 }
 
 // Leases returns the number of outstanding (non-expired) leases as of
-// now. Each live lease has exactly one pending fantasy in the history.
+// now. Each live lease is exactly one pending fantasy in the history.
 func (a *AskTell) Leases(now time.Time) int {
 	a.expire(now)
-	return len(a.leased.live)
+	return len(a.vers)
 }
 
 // DuplicateSuggestions counts configurations Ask handed out more than
@@ -155,71 +77,75 @@ func (a *AskTell) DuplicateSuggestions() int64 { return a.dups }
 // expiry-ordered heap instead of walking the live leases: O(e·log n)
 // for e expirations, so sessions with thousands of live leases pay
 // nothing on the common no-expiry call. Heap entries orphaned by
-// renewals or releases are skipped via the version check.
+// renewals or releases are skipped via the version check. An expired
+// configuration joins the lapsed set, the only configurations Ask can
+// hand out twice.
 func (a *AskTell) expire(now time.Time) {
+	pend := &a.t.history.pend
 	for a.heap.len() > 0 {
 		top := a.heap.peek()
 		if !now.After(top.at) {
 			return
 		}
 		a.heap.pop()
-		f := &a.leased
-		i := f.index.scan(top.h, func(i int) bool { return f.live[i].ver == top.ver })
+		i := pend.scan(top.h, func(i int) bool { return a.vers[i] == top.ver })
 		if i < 0 {
 			continue // released or renewed since this entry was pushed
 		}
-		a.release(f.live[i].Config, top.h)
+		c := pend.rows[i]
+		a.release(c, top.h)
+		a.lapsed.add(c, top.h)
 	}
 }
 
-// lease records one candidate picked for the caller: live lease,
-// expiry-heap entry (finite deadlines only), filter bit, and pending
-// fantasy. It returns the lease's copy of the candidate.
+// lease records one candidate picked for the caller: pending fantasy
+// (the lease's own copy of the candidate), expiry-heap entry (finite
+// deadlines only), and pool bit. It returns the lease's copy.
 func (a *AskTell) lease(c space.Config, deadline time.Time) space.Config {
-	f := &a.leased
 	c = c.Clone()
-	h := f.index.id.hash(c)
+	h := a.t.history.identity().hash(c)
 	a.ver++
-	l := Lease{Config: c, Expires: deadline, ver: a.ver}
-	if i := f.index.insert(c, h, len(f.live), f.row); i >= 0 {
-		f.live[i] = l
-	} else {
-		f.live = append(f.live, l)
+	if a.t.history.addPending(c, h) { // false only for a leased pick, which no acquirer makes
+		a.vers = append(a.vers, a.ver)
 	}
 	if !deadline.IsZero() {
 		a.heap.push(leaseEntry{at: deadline, h: h, ver: a.ver})
 	}
-	f.mark(c, true)
-	a.t.history.addPending(c, h)
+	if a.t.pool != nil {
+		a.t.pool.markLeased(c, true)
+	}
 	return c
 }
 
-// countSuggested records the picks a caller receives (the leases'
-// copies), counting those handed out before as duplicate suggestions.
+// countSuggested counts the picks a caller receives that re-issue a
+// lapsed configuration as duplicate suggestions. Only a successful Ask
+// calls it, so a pick rolled back by a failing Ask leaves its
+// configuration lapsed.
 func (a *AskTell) countSuggested(picks []space.Config) {
+	if len(a.lapsed.rows) == 0 {
+		return
+	}
 	for _, c := range picks {
-		if !a.suggested.add(c, a.suggested.id.hash(c)) {
+		if a.lapsed.remove(c, a.lapsed.id.hash(c)) >= 0 {
 			a.dups++
 		}
 	}
 }
 
-// release drops the lease of c, whose identity hash is h, with its
-// filter bit and its pending fantasy (no-op when c is not leased). The
-// heap entry is left behind for lazy deletion.
+// release drops the lease of c, whose identity hash is h: its pending
+// fantasy, its version and its pool bit (no-op when c is not leased).
+// The heap entry is left behind for lazy deletion.
 func (a *AskTell) release(c space.Config, h uint64) {
-	f := &a.leased
-	last := len(f.live) - 1
-	i := f.index.remove(c, h, last, f.row)
+	i := a.t.history.removePending(c, h)
 	if i < 0 {
 		return
 	}
-	l := f.live[i]
-	f.live[i] = f.live[last]
-	f.live[last] = Lease{}
-	f.live = f.live[:last]
-	f.mark(l.Config, false)
-	a.t.history.removePending(l.Config, h)
+	last := len(a.vers) - 1
+	a.vers[i] = a.vers[last]
+	a.vers = a.vers[:last]
+	if a.t.pool != nil {
+		a.t.pool.markLeased(c, false)
+	}
 }
 
 // Ask leases up to k distinct, not-yet-evaluated, not-currently-leased
@@ -249,7 +175,7 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 	leased := make([]space.Config, 0, k) // the leases' copies of this call's picks
 
 	if a.InitialPhase() {
-		picks, err := a.t.SelectInitial(k, a.filter())
+		picks, err := a.t.SelectInitial(k)
 		if err != nil {
 			return nil, err
 		}
@@ -262,12 +188,12 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 
 	picks := make([]space.Config, 0, k)
 	for len(picks) < k {
-		batch, err := a.t.SelectBatchFiltered(1, a.filter())
+		batch, err := a.t.SelectBatch(1)
 		if err != nil {
 			// Roll back this call's leases: candidates never handed out
 			// must not stay fantasized or fenced off.
 			for _, c := range leased {
-				a.release(c, a.leased.index.id.hash(c))
+				a.release(c, a.t.history.identity().hash(c))
 			}
 			return nil, err
 		}
@@ -296,21 +222,19 @@ func (a *AskTell) Renew(configs []space.Config, ttl time.Duration, now time.Time
 	if ttl > 0 {
 		deadline = now.Add(ttl)
 	}
-	f := &a.leased
+	pend := &a.t.history.pend
 	for _, c := range configs {
 		i, h := -1, uint64(0)
-		if len(c) == f.index.id.arity() {
-			h = f.index.id.hash(c)
-			i = f.index.lookup(c, h, f.row)
+		if len(c) == pend.id.arity() {
+			h = pend.id.hash(c)
+			i = pend.lookup(c, h, pend.row)
 		}
 		if i < 0 {
 			lost = append(lost, c)
 			continue
 		}
 		a.ver++
-		l := &f.live[i]
-		l.Expires = deadline
-		l.ver = a.ver
+		a.vers[i] = a.ver
 		if !deadline.IsZero() {
 			a.heap.push(leaseEntry{at: deadline, h: h, ver: a.ver})
 		}
@@ -339,7 +263,7 @@ func (a *AskTell) TellObs(obs Observation) (added bool, err error) {
 		return false, err
 	}
 	c := obs.Config
-	h := a.leased.index.id.hash(c)
+	h := a.t.history.identity().hash(c)
 	if a.t.history.has(c, h) {
 		a.release(c, h)
 		return false, nil
@@ -348,12 +272,7 @@ func (a *AskTell) TellObs(obs Observation) (added bool, err error) {
 		return false, err
 	}
 	a.release(c, h)
-	// Once observed, a configuration is never suggested again, so the
-	// suggestion log can share the history's copy instead of keeping
-	// the lease's.
-	if i := a.suggested.lookup(c, h, a.suggested.row); i >= 0 {
-		a.suggested.rows[i] = a.t.history.At(a.t.history.Len() - 1).Config
-	}
+	a.lapsed.remove(c, h) // an observed configuration is never issued again
 	return true, nil
 }
 
@@ -361,8 +280,8 @@ func (a *AskTell) TellObs(obs Observation) (added bool, err error) {
 // immutable; renewing or releasing a lease orphans its entry (version
 // mismatch) rather than removing it. An entry names its lease by
 // version, which is unique, and by identity hash, which leads to it
-// in the lease index; it holds no configuration, so an orphaned entry
-// keeps no released lease's row alive.
+// in the pending overlay's index; it holds no configuration, so an
+// orphaned entry keeps no released lease's row alive.
 type leaseEntry struct {
 	at  time.Time
 	h   uint64 // identity hash of the lease's configuration

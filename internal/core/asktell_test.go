@@ -180,7 +180,7 @@ func TestAskTellModelPhaseAfterInitial(t *testing.T) {
 
 func TestSelectInitialDistinct(t *testing.T) {
 	at := newAskTellTuner(t, 8)
-	picks, err := at.Tuner().SelectInitial(8, nil)
+	picks, err := at.Tuner().SelectInitial(8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,28 +20,20 @@ import (
 // GEIST mixes exploitation with uniform exploration. With k = 1 every
 // acquirer reduces to its single-candidate selection.
 
-// SelectBatch returns up to k distinct, not-yet-evaluated
-// configurations to evaluate next, using the engine's freshly fitted
-// model. It never evaluates the objective. The tuner must have
-// completed its initial sampling phase; call Step (or Run) through
-// the initial phase first.
+// SelectBatch returns up to k distinct configurations to evaluate
+// next, neither evaluated nor leased out (see AskTell), using the
+// engine's freshly fitted model. It never evaluates the objective. The
+// tuner must have completed its initial sampling phase; call Step (or
+// Run) through the initial phase first. The fit sees the history's
+// pending overlay (fantasized observations), so AskTell, which
+// fantasizes each pick before asking for the next, gets an internally
+// diverse batch; with no lease live the overlay is empty.
 //
 // The returned slice may be a buffer reused by the next
 // acquisition on this tuner (the configurations themselves are
 // stable): consume or copy it before calling SelectBatch, Step, or
 // Ask again.
 func (t *Tuner) SelectBatch(k int) ([]space.Config, error) {
-	return t.SelectBatchFiltered(k, nil)
-}
-
-// SelectBatchFiltered is SelectBatch with a lease filter: leased, when
-// non-nil, removes the candidates of live leases from acquisition on
-// top of the evaluated set (see AskTell). The fit sees the history's
-// pending overlay (fantasized observations), so a caller that
-// fantasizes each pick before asking for the next gets an internally
-// diverse batch. With a nil filter and an empty overlay this is
-// exactly SelectBatch.
-func (t *Tuner) SelectBatchFiltered(k int, leased *LeaseFilter) ([]space.Config, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: SelectBatch with k < 1")
 	}
@@ -52,9 +44,7 @@ func (t *Tuner) SelectBatchFiltered(k int, leased *LeaseFilter) ([]space.Config,
 	if err := t.model.Fit(t.history); err != nil {
 		return nil, err
 	}
-	acq := t.acquisition()
-	acq.Leased = leased
-	return t.acquirer.Propose(acq, k)
+	return t.acquirer.Propose(t.acquisition(), k)
 }
 
 // Observe folds an externally evaluated observation into the history,

@@ -44,10 +44,13 @@ type Model interface {
 }
 
 // Acquisition carries everything an Acquirer may consult when
-// proposing candidates: the fitted model, the history, the pool and
-// the leases. Pool is nil for engines that run without a finite
-// candidate set. Nothing an acquirer computes from it outlives the
-// call; an acquirer may keep buffers, never results.
+// proposing candidates: the fitted model, the history and the pool.
+// Pool is nil for engines that run without a finite candidate set.
+// Every acquirer skips leased configurations (pending-aware ask/tell)
+// as it skips evaluated ones: loops over the pool test Pool.Leased,
+// draws outside a pool test the history's pending overlay. Nothing an
+// acquirer computes from it outlives the call; an acquirer may keep
+// buffers, never results.
 type Acquisition struct {
 	Space            *space.Space
 	Model            Model
@@ -56,14 +59,6 @@ type Acquisition struct {
 	RNG              *stats.RNG
 	Parallelism      int
 	CandidateSamples int
-	// Leased, when non-nil, excludes the candidates of live leases
-	// from acquisition on top of the evaluated set — the lease filter
-	// of pending-aware ask/tell. Every acquirer must honor it: loops
-	// over the pool test candidate indices (HasIndex), acquirers that
-	// draw configurations outside the pool test them (Has). It is nil
-	// when no lease is live, which must leave acquisition
-	// bit-identical to the lease-free path.
-	Leased *LeaseFilter
 }
 
 // Acquirer proposes up to k not-yet-evaluated candidates from a

@@ -570,7 +570,7 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	var kept []space.Config
 	add := func(c space.Config) {
 		h := seen.id.hash(c)
-		if seen.add(c, h) && a.Space.Valid(c) && !a.History.has(c, h) && !a.Leased.has(c, h) {
+		if seen.add(c, h) && a.Space.Valid(c) && !a.History.observedOrPending(c, h) {
 			kept = append(kept, c)
 		}
 	}

@@ -64,14 +64,14 @@ func (randomAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 // or empty result means the space is (nearly) exhausted.
 func drawUniform(a *Acquisition, k int) []space.Config {
 	if a.Pool != nil {
-		return drawRemaining(a.Pool, a.Leased, k, a.RNG)
+		return drawRemaining(a.Pool, k, a.RNG)
 	}
 	const maxTries = 100000
 	id := a.History.identity()
 	out := newConfigSet(id, k)
 	for try := 0; try < maxTries && len(out.rows) < k; try++ {
 		c := a.Space.Sample(a.RNG)
-		if h := id.hash(c); !a.History.has(c, h) && !a.Leased.has(c, h) {
+		if h := id.hash(c); !a.History.observedOrPending(c, h) {
 			out.add(c, h)
 		}
 	}
@@ -87,9 +87,9 @@ func drawUniform(a *Acquisition, k int) []space.Config {
 // swap-removal has overwritten it, and only the overwritten slots are
 // recorded. Its picks and RNG draws are those of swap-removal over a
 // filtered copy.
-func drawRemaining(p *Pool, leased *LeaseFilter, k int, rng *stats.RNG) []space.Config {
+func drawRemaining(p *Pool, k int, rng *stats.RNG) []space.Config {
 	rem := p.Remaining()
-	held := leasedPositions(p, leased)
+	held := leasedPositions(p)
 	n := len(rem) - len(held)
 	if k > n {
 		k = n
@@ -113,13 +113,13 @@ func drawRemaining(p *Pool, leased *LeaseFilter, k int, rng *stats.RNG) []space.
 }
 
 // leasedPositions returns the sorted positions in p.Remaining() of the
-// candidates leased is marking.
-func leasedPositions(p *Pool, leased *LeaseFilter) []int {
-	if leased == nil {
+// leased candidates.
+func leasedPositions(p *Pool) []int {
+	if p.nleased == 0 {
 		return nil
 	}
 	var held []int
-	for w, word := range leased.bits {
+	for w, word := range p.leased {
 		for ; word != 0; word &= word - 1 {
 			if at := p.pos[w<<6|bits.TrailingZeros64(word)]; at >= 0 {
 				held = append(held, int(at))

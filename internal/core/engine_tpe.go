@@ -241,7 +241,7 @@ func (s samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error)
 	for i := 0; i < draws; i++ {
 		c := a.Model.Sample(a.RNG)
 		h := cands.id.hash(c)
-		if !a.History.has(c, h) && !a.Leased.has(c, h) {
+		if !a.History.observedOrPending(c, h) {
 			cands.add(c, h)
 		}
 	}
@@ -330,7 +330,7 @@ func (r *rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error)
 		// index instead.
 		best := -1
 		for i := 0; i < len(rem); i++ {
-			if a.Leased.HasIndex(rem[i]) {
+			if p.Leased(rem[i]) {
 				continue
 			}
 			if best < 0 || scores[rem[i]] > scores[rem[best]] {
@@ -360,7 +360,7 @@ func (r *rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error)
 				break
 			}
 			c := p.Candidate(cand.idx)
-			if a.Leased.HasIndex(cand.idx) || containsConfig(picks, c) {
+			if p.Leased(cand.idx) || containsConfig(picks, c) {
 				continue
 			}
 			if minHamming(picks, c) >= minDist {

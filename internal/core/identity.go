@@ -15,11 +15,11 @@ import (
 // value. identity decides that relation without formatting anything,
 // and configIndex indexes rows by it. Every structure in this package
 // that asks "is this the same configuration?" uses them: the pool, the
-// observed history, the pending overlay, the live leases, the
-// suggestion log and every acquirer's per-pick dedupe. A pool over a
-// small discrete grid asks by grid index instead, which agrees with
-// the identity (pool.go). A row of the wrong arity is never a member
-// of any of them.
+// observed history, the pending overlay (which is also the set of live
+// leases), the lapsed leases and every acquirer's per-pick dedupe. A
+// pool over a small discrete grid asks by grid index instead, which
+// agrees with the identity (pool.go). A row of the wrong arity is
+// never a member of any of them.
 
 // identity maps the values of one space's configurations to identity
 // words: one word per parameter, equal for two values exactly when
@@ -229,7 +229,7 @@ func (x *configIndex) remove(c space.Config, h uint64, last int, row func(int) s
 }
 
 // configSet is a configIndex over rows it keeps itself, in insertion
-// order: the pending overlay, the suggestion log, a sampled pool's
+// order: the pending overlay, the lapsed leases, a sampled pool's
 // draw, and the distinct draws of one acquisition.
 type configSet struct {
 	configIndex
@@ -259,15 +259,15 @@ func (s *configSet) add(c space.Config, h uint64) bool {
 }
 
 // remove drops the row identical to c by moving the last row into its
-// place, and reports whether there was one.
-func (s *configSet) remove(c space.Config, h uint64) bool {
+// place, and returns that place, or -1 when there was no such row.
+func (s *configSet) remove(c space.Config, h uint64) int {
 	last := len(s.rows) - 1
 	i := s.configIndex.remove(c, h, last, s.row)
 	if i < 0 {
-		return false
+		return -1
 	}
 	s.rows[i] = s.rows[last]
 	s.rows[last] = nil
 	s.rows = s.rows[:last]
-	return true
+	return i
 }

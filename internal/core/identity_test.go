@@ -204,7 +204,7 @@ func TestConfigIndexRemoveKeepsProbeRuns(t *testing.T) {
 		}
 		order := append(append([]space.Config(nil), rows[rot:]...), rows[:rot]...)
 		for i, c := range order {
-			if !s.remove(c, s.id.hash(c)) {
+			if s.remove(c, s.id.hash(c)) < 0 {
 				t.Fatalf("rotation %d: remove(%v) found nothing", rot, c)
 			}
 			for j, rest := range order {

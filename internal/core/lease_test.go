@@ -287,93 +287,225 @@ func TestAskTellPendingGoldenSequence(t *testing.T) {
 	}
 }
 
-// TestAskTellLeaseFilterMatchesKeys drives ranking, random and
-// sampling sessions (and ranking on a sampled pool) through random
-// Ask, Tell, Renew, expiry and no-op steps. After
-// every step the index filter must exclude exactly the pool
-// candidates whose Space.Key is in the live lease set, and no Ask may
-// hand out an evaluated or a leased configuration.
-func TestAskTellLeaseFilterMatchesKeys(t *testing.T) {
-	cases := []struct {
-		name  string
-		sp    *space.Space
-		value func(space.Config) float64
-		opts  Options
-	}{
-		{"ranking", leaseTestSpace(), leaseTestValue, Options{Seed: 21, InitialSamples: 10}},
-		{"random", leaseTestSpace(), leaseTestValue, Options{Seed: 22, InitialSamples: 10, Engine: "random"}},
-		{"sampling", leaseTestSpace(), leaseTestValue, Options{Seed: 23, InitialSamples: 10, Engine: "sampling"}},
-		{"ranking-sampled-pool", smallSampledSpace(), smallSampledValue,
-			Options{Seed: 24, InitialSamples: 10, Engine: "ranking", PoolCap: 48}},
+// leaseSessions are the sessions the lease bookkeeping is checked on:
+// ranking, random and sampling on a 400-point grid, and ranking on a
+// sampled pool.
+var leaseSessions = []struct {
+	name  string
+	sp    func() *space.Space
+	value func(space.Config) float64
+	opts  Options
+}{
+	{"ranking", leaseTestSpace, leaseTestValue, Options{Seed: 21, InitialSamples: 10}},
+	{"random", leaseTestSpace, leaseTestValue, Options{Seed: 22, InitialSamples: 10, Engine: "random"}},
+	{"sampling", leaseTestSpace, leaseTestValue, Options{Seed: 23, InitialSamples: 10, Engine: "sampling"}},
+	{"ranking-sampled-pool", smallSampledSpace, smallSampledValue,
+		Options{Seed: 24, InitialSamples: 10, Engine: "ranking", PoolCap: 48}},
+}
+
+// leaseScript returns a random lease script of n steps for
+// runLeaseScript, drawn from seed.
+func leaseScript(seed uint64, n int) []byte {
+	rng := stats.NewRNG(seed)
+	script := make([]byte, 2*n)
+	for i := range script {
+		script[i] = byte(rng.Intn(256))
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sp := tc.sp
-			at := newLeaseTestAskTell(t, sp, tc.opts)
-			rng := stats.NewRNG(tc.opts.Seed)
-			now := time.Unix(1_000_000, 0)
-			var out []space.Config // handed out, not yet told
-			liveKeys := func() map[string]bool {
-				keys := make(map[string]bool, len(at.leased.live))
-				for _, l := range at.leased.live {
-					keys[sp.Key(l.Config)] = true
-				}
-				return keys
+	return script
+}
+
+// leaseRef models AskTell's leases by Space.Key, apart from its
+// bookkeeping: live maps the key of every live lease to its deadline
+// (zero: never), handed holds every key Ask has handed out, and dups
+// counts the picks whose key was in handed already.
+type leaseRef struct {
+	live   map[string]time.Time
+	handed map[string]bool
+	dups   int64
+}
+
+// expire drops the leases whose deadline is before now, as every
+// AskTell call but Tell does first.
+func (r *leaseRef) expire(now time.Time) {
+	for k, d := range r.live {
+		if !d.IsZero() && now.After(d) {
+			delete(r.live, k)
+		}
+	}
+}
+
+// runLeaseScript drives session e of leaseSessions through script, two
+// bytes a step, an operation and its argument:
+//
+//   - 0-3: Ask(1+arg%4) with a TTL of 0, 3 s or 1 min (arg/4%3);
+//   - 4-6: Tell the outstanding pick arg%len;
+//   - 7: Renew the outstanding picks from arg%len on, for a minute;
+//   - 8: advance the clock 1+arg%4 seconds, and for arg >= 128 count
+//     the live leases with Leases, which expires the lapsed ones;
+//   - 9: an Ask as 0-3 through an acquirer that fails after arg/12%4
+//     proposals, which rolls back the model-phase picks.
+//
+// The operation is the byte mod 10; a Tell or a Renew with nothing
+// outstanding advances the clock instead. After every step the pending
+// overlay's rows, AskTell's lease versions, the pool's leased bits and
+// the live keys of a leaseRef must agree, no pick may be leased or
+// evaluated, and DuplicateSuggestions must equal the reference count.
+func runLeaseScript(t *testing.T, e int, script []byte) {
+	t.Helper()
+	s := leaseSessions[e]
+	sp := s.sp()
+	at := newLeaseTestAskTell(t, sp, s.opts)
+	tn := at.Tuner()
+	ref := &leaseRef{live: map[string]time.Time{}, handed: map[string]bool{}}
+	now := time.Unix(1_000_000, 0)
+	ttls := []time.Duration{0, 3 * time.Second, time.Minute}
+	var out []space.Config // handed out, not yet told
+	var poolKeys []string  // Space.Key of each pool candidate
+	if p := tn.pool; p != nil {
+		for i := 0; i < p.Size(); i++ {
+			poolKeys = append(poolKeys, sp.Key(p.Candidate(i)))
+		}
+	}
+	ask := func(step, k int, ttl time.Duration, fail int) {
+		t.Helper()
+		if fail >= 0 {
+			inner := tn.acquirer
+			tn.acquirer = &failingAcquirer{inner: inner, ok: fail}
+			defer func() { tn.acquirer = inner }()
+		}
+		ref.expire(now)
+		picks, err := at.Ask(k, ttl, now)
+		if err != nil {
+			if fail < 0 {
+				t.Fatalf("step %d: %v", step, err)
 			}
-			check := func(step int) {
-				t.Helper()
-				f := at.filter()
-				leases := liveKeys()
-				if (f == nil) != (len(leases) == 0) {
-					t.Fatalf("step %d: filter nil = %v with %d live leases", step, f == nil, len(leases))
-				}
-				p := at.Tuner().pool
-				if p == nil {
-					return
-				}
-				for i := 0; i < p.Size(); i++ {
-					leased := leases[sp.Key(p.Candidate(i))]
-					if f.HasIndex(i) != leased || f.Has(p.Candidate(i)) != leased {
-						t.Fatalf("step %d: candidate %s: filter says %v, lease map %v",
-							step, sp.Key(p.Candidate(i)), f.HasIndex(i), leased)
-					}
+			return
+		}
+		for _, c := range picks {
+			key := sp.Key(c)
+			if _, leased := ref.live[key]; leased || tn.History().Contains(c) {
+				t.Fatalf("step %d: Ask handed out %s, which is leased or evaluated", step, key)
+			}
+			if ref.handed[key] {
+				ref.dups++
+			}
+			ref.handed[key] = true
+			ref.live[key] = time.Time{}
+			if ttl > 0 {
+				ref.live[key] = now.Add(ttl)
+			}
+			out = append(out, c)
+		}
+	}
+	check := func(step int) {
+		t.Helper()
+		h := tn.History()
+		rows := h.pend.rows
+		if len(rows) != len(at.vers) || len(rows) != len(ref.live) {
+			t.Fatalf("step %d: %d pending rows, %d lease versions, %d live leases", step, len(rows), len(at.vers), len(ref.live))
+		}
+		for _, c := range rows {
+			if _, ok := ref.live[sp.Key(c)]; !ok {
+				t.Fatalf("step %d: %s is pending but not leased", step, sp.Key(c))
+			}
+		}
+		if p := tn.pool; p != nil {
+			for i, key := range poolKeys {
+				if _, leased := ref.live[key]; p.Leased(i) != leased {
+					t.Fatalf("step %d: candidate %s: pool says leased %v, the leases %v", step, key, p.Leased(i), leased)
 				}
 			}
-			for step := 0; step < 150; step++ {
-				switch op := rng.Intn(10); {
-				case op < 4:
-					at.Leases(now) // expire lapsed leases before the snapshot
-					before := liveKeys()
-					ttls := []time.Duration{0, 3 * time.Second, time.Minute}
-					picks, err := at.Ask(1+rng.Intn(4), ttls[rng.Intn(len(ttls))], now)
-					if err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					for _, c := range picks {
-						if before[sp.Key(c)] || at.Tuner().History().Contains(c) {
-							t.Fatalf("step %d: Ask handed out %s, which is leased or evaluated", step, sp.Key(c))
-						}
-						out = append(out, c)
-					}
-				case op < 7 && len(out) > 0:
-					j := rng.Intn(len(out))
-					c := out[j]
-					out = append(out[:j], out[j+1:]...)
-					if _, err := at.Tell(c, tc.value(c)); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-				case op < 8 && len(out) > 0:
-					at.Renew(out[rng.Intn(len(out)):], time.Minute, now)
-				case op < 9:
-					now = now.Add(time.Duration(1+rng.Intn(4)) * time.Second)
-				default:
-					// A step that changes nothing: the filter must
-					// still match the leases.
-				}
-				check(step)
+			if p.nleased != len(ref.live) {
+				t.Fatalf("step %d: %d pool bits set, %d live leases", step, p.nleased, len(ref.live))
 			}
+		}
+		for _, c := range at.lapsed.rows {
+			if _, leased := ref.live[sp.Key(c)]; leased || !ref.handed[sp.Key(c)] || h.Contains(c) {
+				t.Fatalf("step %d: lapsed %s is leased, evaluated or never handed out", step, sp.Key(c))
+			}
+		}
+		if got := at.DuplicateSuggestions(); got != ref.dups {
+			t.Fatalf("step %d: DuplicateSuggestions = %d, the key count %d", step, got, ref.dups)
+		}
+	}
+	for step := 0; step+1 < len(script); step += 2 {
+		op, arg := int(script[step]%10), int(script[step+1])
+		if (op >= 4 && op < 8) && len(out) == 0 {
+			op = 8
+		}
+		switch {
+		case op < 4:
+			ask(step/2, 1+arg%4, ttls[arg/4%3], -1)
+		case op < 7:
+			j := arg % len(out)
+			c := out[j]
+			out = append(out[:j], out[j+1:]...)
+			if _, err := at.Tell(c, s.value(c)); err != nil {
+				t.Fatalf("step %d: %v", step/2, err)
+			}
+			delete(ref.live, sp.Key(c))
+		case op < 8:
+			ref.expire(now)
+			renew := out[arg%len(out):]
+			renewed, lost := at.Renew(renew, time.Minute, now)
+			wantLost := 0
+			for _, c := range renew {
+				if _, ok := ref.live[sp.Key(c)]; ok {
+					ref.live[sp.Key(c)] = now.Add(time.Minute)
+				} else {
+					wantLost++
+				}
+			}
+			if renewed != len(renew)-wantLost || len(lost) != wantLost {
+				t.Fatalf("step %d: Renew = %d renewed, %d lost; the leases say %d lost of %d", step/2, renewed, len(lost), wantLost, len(renew))
+			}
+		case op < 9:
+			now = now.Add(time.Duration(1+arg%4) * time.Second)
+			if arg >= 128 {
+				ref.expire(now)
+				if n := at.Leases(now); n != len(ref.live) {
+					t.Fatalf("step %d: Leases = %d, the leases %d", step/2, n, len(ref.live))
+				}
+			}
+		default:
+			ask(step/2, 1+arg%4, ttls[arg/4%3], arg/12%4)
+		}
+		check(step / 2)
+	}
+}
+
+// TestAskTellLeaseFilterMatchesKeys runs a random 150-step lease
+// script (runLeaseScript) on each of leaseSessions: what acquisition
+// filters out — the pool's leased bits and the pending overlay — must
+// match the Space.Keys of the live leases after every step.
+func TestAskTellLeaseFilterMatchesKeys(t *testing.T) {
+	for e, s := range leaseSessions {
+		t.Run(s.name, func(t *testing.T) {
+			runLeaseScript(t, e, leaseScript(s.opts.Seed, 150))
 		})
 	}
+}
+
+// FuzzAskTellLeases runs runLeaseScript on arbitrary scripts: the first
+// byte picks the session, the rest is the script, cut at 64 steps. At
+// most 256 picks keep the 400-point grid from running out, where every
+// pool-free pick would rejection-sample the space for 100 000 draws.
+// The seeds are the first 64 steps of TestAskTellLeaseFilterMatchesKeys.
+func FuzzAskTellLeases(f *testing.F) {
+	const steps = 64
+	for e, s := range leaseSessions {
+		f.Add(append([]byte{byte(e)}, leaseScript(s.opts.Seed, steps)...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		script := data[1:]
+		if len(script) > 2*steps {
+			script = script[:2*steps]
+		}
+		runLeaseScript(t, int(data[0])%len(leaseSessions), script)
+	})
 }
 
 // failingAcquirer passes the first ok proposals to its inner acquirer
@@ -429,6 +561,46 @@ func TestAskTellRollbackForgetsSuggestions(t *testing.T) {
 	}
 	if d := at.DuplicateSuggestions(); d != 0 {
 		t.Fatalf("DuplicateSuggestions = %d: a pick no caller saw counted as suggested", d)
+	}
+}
+
+// TestAskTellRollbackKeepsLapsed re-picks a configuration whose lease
+// expired inside an Ask that then fails: the configuration must stay
+// lapsed, so the failing Ask counts no duplicate and the next Ask that
+// hands it out counts one.
+func TestAskTellRollbackKeepsLapsed(t *testing.T) {
+	sp := space.New(space.DiscreteInts("x", 0, 1, 2))
+	value := func(c space.Config) float64 { return c[0] }
+	at := newLeaseTestAskTell(t, sp, Options{Seed: 3, InitialSamples: 2})
+	now := time.Unix(1_000_000, 0)
+	initial, err := at.Ask(2, time.Minute, now)
+	if err != nil || len(initial) != 2 {
+		t.Fatalf("initial Ask(2) = %v, %v", initial, err)
+	}
+	for _, c := range initial {
+		if _, err := at.Tell(c, value(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := at.Ask(1, time.Second, now); err != nil { // the last configuration
+		t.Fatal(err)
+	}
+	now = now.Add(2 * time.Second)
+	tn := at.Tuner()
+	inner := tn.acquirer
+	tn.acquirer = &failingAcquirer{inner: inner, ok: 1}
+	if _, err := at.Ask(2, time.Minute, now); err == nil {
+		t.Fatal("Ask succeeded through a failing acquirer")
+	}
+	if d := at.DuplicateSuggestions(); d != 0 {
+		t.Fatalf("DuplicateSuggestions = %d after a rolled-back re-pick, want 0", d)
+	}
+	tn.acquirer = inner
+	if picks, err := at.Ask(1, time.Minute, now); err != nil || len(picks) != 1 {
+		t.Fatalf("Ask(1) after rollback = %v, %v", picks, err)
+	}
+	if d := at.DuplicateSuggestions(); d != 1 {
+		t.Fatalf("DuplicateSuggestions = %d after re-issuing the lapsed configuration, want 1", d)
 	}
 }
 

@@ -86,40 +86,36 @@ func (h *History) SetLiar(p LiarPolicy) {
 // Liar returns the active constant-liar policy.
 func (h *History) Liar() LiarPolicy { return h.liar }
 
-// AddPending registers c as in-flight: fitted models will see it as a
-// fantasy observation until it is removed (result reported or lease
-// expired). Already-pending configurations, and configurations of the
-// wrong arity, which are never members, are a no-op.
-func (h *History) AddPending(c space.Config) {
-	if len(c) == h.pend.id.arity() {
-		h.addPending(c, h.pend.id.hash(c))
+// addPending registers c, a row of the space's arity whose identity
+// hash is hc, as in-flight: fitted models see it as a fantasy
+// observation until it is removed (result told or lease expired). The
+// overlay keeps c itself as its last row; AskTell, its only writer,
+// passes its lease's copy. It reports false, changing nothing, when c
+// is already pending.
+func (h *History) addPending(c space.Config, hc uint64) bool {
+	if !h.pend.add(c, hc) {
+		return false
 	}
-}
-
-// addPending is AddPending for a row of the space's arity whose
-// identity hash is hc.
-func (h *History) addPending(c space.Config, hc uint64) {
-	if h.pend.has(c, hc) {
-		return
-	}
-	h.pend.add(c.Clone(), hc)
 	h.pendHash ^= hc
+	return true
 }
 
-// RemovePending drops c from the overlay (no-op when not pending).
-func (h *History) RemovePending(c space.Config) {
-	if len(c) == h.pend.id.arity() {
-		h.removePending(c, h.pend.id.hash(c))
-	}
-}
-
-// removePending is RemovePending for a row of the space's arity whose
-// identity hash is hc. The overlay's last configuration takes the
-// removed one's place.
-func (h *History) removePending(c space.Config, hc uint64) {
-	if h.pend.remove(c, hc) {
+// removePending drops c, whose identity hash is hc, from the overlay
+// and returns the row it freed, which the overlay's last row now
+// fills, or -1 when c is not pending.
+func (h *History) removePending(c space.Config, hc uint64) int {
+	i := h.pend.remove(c, hc)
+	if i >= 0 {
 		h.pendHash ^= hc
 	}
+	return i
+}
+
+// observedOrPending reports whether c, a row of the space's arity
+// whose identity hash is hc, is evaluated or in flight: the test every
+// draw outside a pool makes before keeping a configuration.
+func (h *History) observedOrPending(c space.Config, hc uint64) bool {
+	return h.has(c, hc) || h.pend.has(c, hc)
 }
 
 // PendingLen returns the number of in-flight configurations.

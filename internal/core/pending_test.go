@@ -370,7 +370,7 @@ func TestAskTellSerialMatchesSelectBatch(t *testing.T) {
 		var picks []space.Config
 		var err error
 		if ref.Evaluations() < ref.InitialSamples() {
-			picks, err = ref.SelectInitial(1, nil)
+			picks, err = ref.SelectInitial(1)
 		} else {
 			picks, err = ref.SelectBatch(1)
 		}

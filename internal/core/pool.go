@@ -39,6 +39,8 @@ type Pool struct {
 	index     configIndex    // hashed pools: rows by identity
 	remaining []int          // candidate indices not yet evaluated
 	pos       []int32        // candidate index → position in remaining, -1 once evaluated
+	leased    []uint64       // bitset of candidates leased out by AskTell; nil until the first lease
+	nleased   int            // set bits of leased
 	batch     *space.Batch   // columnar candidates, built on first use
 }
 
@@ -230,6 +232,33 @@ func (p *Pool) MarkEvaluated(c space.Config) {
 	p.pos[moved] = at
 	p.remaining = p.remaining[:last]
 	p.pos[i] = -1
+}
+
+// Leased reports whether candidate i is leased out: handed to a worker
+// by AskTell and neither told nor expired since. Acquirers skip leased
+// candidates as they skip evaluated ones. While nothing is leased it
+// reads no bit, so the lease-free scan costs what it did without
+// leases.
+func (p *Pool) Leased(i int) bool {
+	return p.nleased > 0 && p.leased[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// markLeased sets (on) or clears the leased bit of c's candidate; a c
+// outside the pool is ignored.
+func (p *Pool) markLeased(c space.Config, on bool) {
+	i := p.IndexOf(c)
+	if i < 0 || p.Leased(i) == on {
+		return
+	}
+	if p.leased == nil {
+		p.leased = make([]uint64, (p.Size()+63)/64)
+	}
+	p.leased[i>>6] ^= 1 << (uint(i) & 63)
+	if on {
+		p.nleased++
+	} else {
+		p.nleased--
+	}
 }
 
 // Batch returns the columnar view of the full candidate set, building

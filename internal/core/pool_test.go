@@ -339,10 +339,10 @@ func TestGridPoolMatchesRowPool(t *testing.T) {
 
 // drawRemainingCopy is the initial-phase draw drawRemaining replaced:
 // copy the remaining set net of leases, then swap-remove k picks.
-func drawRemainingCopy(p *Pool, leased *LeaseFilter, k int, rng *stats.RNG) []space.Config {
+func drawRemainingCopy(p *Pool, k int, rng *stats.RNG) []space.Config {
 	var avail []int
 	for _, idx := range p.Remaining() {
-		if !leased.HasIndex(idx) {
+		if !p.Leased(idx) {
 			avail = append(avail, idx)
 		}
 	}
@@ -392,23 +392,21 @@ func TestDrawRemainingMatchesCopy(t *testing.T) {
 			for _, i := range rng.Perm(n)[:rng.Intn(n)] {
 				p.MarkEvaluated(p.Candidate(i))
 			}
-			var leased *LeaseFilter
 			if trial%4 != 0 {
-				leased = &LeaseFilter{pool: p, bits: make([]uint64, (n+63)/64)}
 				for _, i := range rng.Perm(n)[:rng.Intn(n/2+1)] {
-					leased.bits[i>>6] |= 1 << (uint(i) & 63)
+					p.markLeased(p.Candidate(i), true)
 				}
 			}
 			avail := 0
 			for _, i := range p.Remaining() {
-				if !leased.HasIndex(i) {
+				if !p.Leased(i) {
 					avail++
 				}
 			}
 			for k := 1; k <= avail+2; k++ {
 				seed := rng.Uint64()
 				got, want := stats.NewRNG(seed), stats.NewRNG(seed)
-				a, b := drawRemaining(p, leased, k, got), drawRemainingCopy(p, leased, k, want)
+				a, b := drawRemaining(p, k, got), drawRemainingCopy(p, k, want)
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("%s trial %d k=%d: drew %v, the copy drew %v", name, trial, k, a, b)
 				}

@@ -366,19 +366,17 @@ func (t *Tuner) RunUntilStall(maxBudget, stallLimit int, tol float64) (Observati
 	return t.history.Best(), nil
 }
 
-// SelectInitial returns up to k distinct not-yet-evaluated
-// configurations drawn uniformly at random, without evaluating them —
-// the ask/tell counterpart of the initial sampling phase, for callers
-// (e.g. AskTell) that hand candidates to external workers. leased,
-// when non-nil, excludes the candidates of live leases. A short result
-// means fewer than k configurations are left net of leases.
-func (t *Tuner) SelectInitial(k int, leased *LeaseFilter) ([]space.Config, error) {
+// SelectInitial returns up to k distinct configurations drawn
+// uniformly at random, neither evaluated nor leased out, without
+// evaluating them — the ask/tell counterpart of the initial sampling
+// phase, for callers (e.g. AskTell) that hand candidates to external
+// workers. A short result means fewer than k configurations are left
+// net of leases.
+func (t *Tuner) SelectInitial(k int) ([]space.Config, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: SelectInitial with k < 1")
 	}
-	acq := t.acquisition()
-	acq.Leased = leased
-	return drawUniform(acq, k), nil
+	return drawUniform(t.acquisition(), k), nil
 }
 
 // markEvaluated removes c from the candidate pool in O(1).

@@ -5,6 +5,7 @@ import (
 
 	"github.com/hpcautotune/hiperbot/internal/apps/kripke"
 	"github.com/hpcautotune/hiperbot/internal/core"
+	"github.com/hpcautotune/hiperbot/internal/geist"
 	"github.com/hpcautotune/hiperbot/internal/harness"
 	"github.com/hpcautotune/hiperbot/internal/stats"
 )
@@ -221,7 +222,7 @@ func AblationGEISTGraph(cfg Config) ([]AblationRow, error) {
 	good := harness.PercentileGoodSet(tbl, 0.05)
 	var rows []AblationRow
 	for _, weighted := range []bool{false, true} {
-		m := harness.GEIST(harness.GEISTOptions{WeightedGraph: weighted})
+		m := harness.GEIST(geist.Options{}, weighted)
 		var sum float64
 		for rep := 0; rep < cfg.Repetitions; rep++ {
 			h, err := m.Run(tbl, 192, cfg.Seed+uint64(rep)*127)

@@ -8,6 +8,7 @@ import (
 	"github.com/hpcautotune/hiperbot/internal/apps/kripke"
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
+	"github.com/hpcautotune/hiperbot/internal/geist"
 	"github.com/hpcautotune/hiperbot/internal/harness"
 	"github.com/hpcautotune/hiperbot/internal/space"
 )
@@ -68,7 +69,7 @@ func TestCalibProbe(t *testing.T) {
 		}
 		t.Logf("init=%d q=%.2f sm=%.2f best=%v recall=%v", cb.init, cb.quantile, cb.smooth, fmtF(c.BestMean), fmtF(c.RecallMean))
 	}
-	g, err := harness.RunCurve(harness.GEIST(harness.GEISTOptions{}), spec)
+	g, err := harness.RunCurve(harness.GEIST(geist.Options{}, false), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
+	"github.com/hpcautotune/hiperbot/internal/geist"
 	"github.com/hpcautotune/hiperbot/internal/harness"
 )
 
@@ -84,7 +85,7 @@ func VerifyClaims(cfg Config) ([]ClaimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	geT, err := harness.EvaluationsToTarget(harness.GEIST(harness.GEISTOptions{}), spec)
+	geT, err := harness.EvaluationsToTarget(harness.GEIST(geist.Options{}, false), spec)
 	if err != nil {
 		return nil, err
 	}

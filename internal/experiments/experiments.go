@@ -19,9 +19,7 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/hpcautotune/hiperbot/internal/apps"
 	"github.com/hpcautotune/hiperbot/internal/apps/hypre"
@@ -29,6 +27,7 @@ import (
 	"github.com/hpcautotune/hiperbot/internal/apps/lulesh"
 	"github.com/hpcautotune/hiperbot/internal/apps/openatom"
 	"github.com/hpcautotune/hiperbot/internal/core"
+	"github.com/hpcautotune/hiperbot/internal/geist"
 	"github.com/hpcautotune/hiperbot/internal/harness"
 )
 
@@ -86,7 +85,7 @@ func configSelection(model *apps.Model, checkpoints []int, cfg Config) (*Selecti
 	}
 	methods := []harness.Method{
 		harness.Random(),
-		harness.GEIST(harness.GEISTOptions{}),
+		harness.GEIST(geist.Options{}, false),
 		harness.HiPerBOt(core.Options{}),
 	}
 	curves, err := harness.RunCurves(methods, spec)
@@ -146,40 +145,6 @@ func AllModels() []*apps.Model {
 		openatom.Decomposition(),
 		kripke.Energy(),
 	}
-}
-
-// forEachRep runs fn(rep) for every rep in [0, n) across at most
-// parallelism workers (0 = GOMAXPROCS) and returns the first error in
-// repetition order. Callers write per-repetition results into
-// rep-indexed slots and reduce after it returns, so aggregation order
-// — and with it floating-point rounding — never depends on goroutine
-// scheduling: the same seeds give bit-identical results at any -j.
-func forEachRep(n, parallelism int, fn func(rep int) error) error {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	errs := make([]error, n)
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for rep := 0; rep < n; rep++ {
-		wg.Add(1)
-		go func(rep int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[rep] = fn(rep)
-		}(rep)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // rankDescending returns parameter names with scores, sorted by

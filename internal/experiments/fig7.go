@@ -6,6 +6,7 @@ import (
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
 	"github.com/hpcautotune/hiperbot/internal/harness"
+	"github.com/hpcautotune/hiperbot/internal/par"
 )
 
 // SensitivityResult holds one panel of Fig. 7: for each application
@@ -108,7 +109,7 @@ func Table1(cfg Config) ([]ImportanceEntry, error) {
 		// result is bit-identical at any parallelism.
 		sampleN := tbl.Len() / 10
 		perRep := make([][]float64, cfg.Repetitions)
-		err := forEachRep(cfg.Repetitions, cfg.Parallelism, func(rep int) error {
+		err := par.Each(cfg.Repetitions, cfg.Parallelism, func(rep int) error {
 			h, err := harness.Random().Run(tbl, sampleN, cfg.Seed+uint64(rep)*31)
 			if err != nil {
 				return err

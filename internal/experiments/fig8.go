@@ -10,6 +10,7 @@ import (
 	"github.com/hpcautotune/hiperbot/internal/apps/lulesh"
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/harness"
+	"github.com/hpcautotune/hiperbot/internal/par"
 	"github.com/hpcautotune/hiperbot/internal/perfnet"
 )
 
@@ -90,7 +91,7 @@ func transfer(srcModel, tgtModel *apps.Model, cfg Config) (*TransferResult, erro
 	// reduce in rep order so results match the serial loop exactly.
 	type repRecall struct{ hbot, pnet []float64 }
 	perRep := make([]repRecall, reps)
-	err = forEachRep(reps, cfg.Parallelism, func(rep int) error {
+	err = par.Each(reps, cfg.Parallelism, func(rep int) error {
 		seed := cfg.Seed + uint64(rep)*6151
 
 		hbot := harness.HiPerBOt(core.Options{Surrogate: core.SurrogateConfig{Prior: prior, PriorWeight: 1}})

@@ -5,6 +5,7 @@ import (
 
 	"github.com/hpcautotune/hiperbot/internal/apps/kripke"
 	"github.com/hpcautotune/hiperbot/internal/core"
+	"github.com/hpcautotune/hiperbot/internal/geist"
 	"github.com/hpcautotune/hiperbot/internal/harness"
 )
 
@@ -25,7 +26,7 @@ func TestTransitiveOrderingHiPerBOtGeistGP(t *testing.T) {
 	}
 	curves, err := harness.RunCurves([]harness.Method{
 		harness.HiPerBOt(core.Options{}),
-		harness.GEIST(harness.GEISTOptions{}),
+		harness.GEIST(geist.Options{}, false),
 		harness.GP(),
 	}, spec)
 	if err != nil {

@@ -1,44 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 )
-
-// TestForEachRep pins the repetition fan-out helper: every rep runs
-// exactly once, and the first error in repetition order (not
-// completion order) is the one reported.
-func TestForEachRep(t *testing.T) {
-	const n = 17
-	var ran [n]int32
-	if err := forEachRep(n, 4, func(rep int) error {
-		atomic.AddInt32(&ran[rep], 1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for rep, c := range ran {
-		if c != 1 {
-			t.Fatalf("rep %d ran %d times", rep, c)
-		}
-	}
-
-	err := forEachRep(n, 4, func(rep int) error {
-		if rep == 3 || rep == 11 {
-			return fmt.Errorf("rep %d failed", rep)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "rep 3 failed" {
-		t.Fatalf("error = %v, want the rep-order-first failure (rep 3)", err)
-	}
-
-	if err := forEachRep(0, 4, func(int) error { return nil }); err != nil {
-		t.Fatalf("zero repetitions: %v", err)
-	}
-}
 
 // TestTable1SeedStableAcrossParallelism is the seed-stability guard
 // for the parallelized repetition loops: the same Config must produce

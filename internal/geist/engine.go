@@ -94,13 +94,20 @@ type camlpModel struct {
 	threshold float64
 	fitted    bool
 	beliefs   []float64
+	fitHist   *core.History // history beliefs were propagated from
+	fitGen    uint64        // its generation then
 }
 
 // Fit labels the evaluated nodes against the (frozen) threshold and
-// re-propagates beliefs over the graph.
+// re-propagates beliefs over the graph. The beliefs read only the
+// observations, never the pending overlay, so a fit on the same
+// history at the same generation keeps them and does nothing.
 func (m *camlpModel) Fit(h *core.History) error {
 	if h.Len() == 0 {
 		return fmt.Errorf("geist: fit on an empty history")
+	}
+	if m.beliefs != nil && m.fitHist == h && m.fitGen == h.Generation() {
+		return nil
 	}
 	if !m.fitted {
 		m.threshold = stats.Quantile(h.Values(), m.quantile)
@@ -116,6 +123,7 @@ func (m *camlpModel) Fit(h *core.History) error {
 		labels[idx] = o.Value <= m.threshold
 	}
 	m.beliefs = m.solver.Propagate(m.g, labels)
+	m.fitHist, m.fitGen = h, h.Generation()
 	return nil
 }
 
@@ -167,7 +175,7 @@ func (q *geistAcquirer) Propose(a *core.Acquisition, k int) ([]space.Config, err
 	n := p.Size()
 	uneval := make([]bool, n)
 	for _, idx := range p.Remaining() {
-		if a.Leased.HasIndex(idx) {
+		if p.Leased(idx) {
 			continue // leased out by pending-aware ask/tell
 		}
 		uneval[idx] = true

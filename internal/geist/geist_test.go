@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
 	"github.com/hpcautotune/hiperbot/internal/space"
 )
@@ -256,5 +257,43 @@ func TestSamplerWorksOnWeightedGraph(t *testing.T) {
 	}
 	if h.Best().Value > 3 {
 		t.Fatalf("weighted GEIST best = %v", h.Best().Value)
+	}
+}
+
+// TestFitSkipsUnchangedHistory checks that a fit on an unchanged
+// history propagates nothing: two Tuner.Importance calls (each fits the
+// model) with no observation between them keep the same beliefs slice,
+// and a call after the next evaluation propagates anew.
+func TestFitSkipsUnchangedHistory(t *testing.T) {
+	tbl := gridTable(t)
+	tn, err := core.NewTuner(tbl.Space, func(c space.Config) float64 {
+		dp, dq := c[0]-2, c[1]-3
+		return dp*dp + dq*dq + 1
+	}, core.Options{Engine: "geist", InitialSamples: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Run(12); err != nil {
+		t.Fatal(err)
+	}
+	m := tn.Model().(*camlpModel)
+	if _, err := tn.Importance(); err != nil {
+		t.Fatal(err)
+	}
+	first := m.beliefs
+	if _, err := tn.Importance(); err != nil {
+		t.Fatal(err)
+	}
+	if &m.beliefs[0] != &first[0] {
+		t.Fatal("Importance on an unchanged history propagated the beliefs again")
+	}
+	if _, err := tn.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Importance(); err != nil {
+		t.Fatal(err)
+	}
+	if &m.beliefs[0] == &first[0] {
+		t.Fatal("Importance after an evaluation kept the old beliefs")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
+	"github.com/hpcautotune/hiperbot/internal/geist"
 	"github.com/hpcautotune/hiperbot/internal/space"
 )
 
@@ -141,7 +142,7 @@ func TestGEISTMethodRuns(t *testing.T) {
 		Repetitions: 4,
 		BaseSeed:    3,
 	}
-	curve, err := RunCurve(GEIST(GEISTOptions{InitialSamples: 10, BatchSize: 5}), spec)
+	curve, err := RunCurve(GEIST(geist.Options{InitialSamples: 10, BatchSize: 5}, false), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,16 +84,6 @@ func GP() Method {
 	}
 }
 
-// GEISTOptions tweaks the GEIST wrapper.
-type GEISTOptions struct {
-	InitialSamples int
-	BatchSize      int
-	Quantile       float64
-	// WeightedGraph uses level-distance edge weights (ordinal
-	// parameters' adjacent levels propagate more strongly).
-	WeightedGraph bool
-}
-
 // graphCache shares the (expensive, dataset-determined) configuration
 // graphs across the many repetitions of an experiment, keyed by table
 // and weighting.
@@ -104,33 +94,33 @@ type graphKey struct {
 	weighted bool
 }
 
-// GEIST wraps the GEIST sampler as a harness method.
-func GEIST(opts GEISTOptions) Method {
+// GEIST wraps the GEIST sampler as a harness method: each run is opts
+// with the run's seed. weighted propagates over level-distance edge
+// weights (ordinal parameters' adjacent levels propagate more
+// strongly) and names the method GEIST-weighted.
+func GEIST(opts geist.Options, weighted bool) Method {
 	name := "GEIST"
-	if opts.WeightedGraph {
+	if weighted {
 		name = "GEIST-weighted"
 	}
 	return Method{
 		Name: name,
 		Run: func(tbl *dataset.Table, budget int, seed uint64) (*core.History, error) {
-			key := graphKey{tbl: tbl, weighted: opts.WeightedGraph}
+			key := graphKey{tbl: tbl, weighted: weighted}
 			var g *geist.Graph
 			if cached, ok := graphCache.Load(key); ok {
 				g = cached.(*geist.Graph)
 			} else {
-				if opts.WeightedGraph {
+				if weighted {
 					g = geist.BuildWeightedGraph(tbl)
 				} else {
 					g = geist.BuildGraph(tbl)
 				}
 				graphCache.Store(key, g)
 			}
-			s, err := geist.NewSampler(tbl, g, geist.Options{
-				InitialSamples: opts.InitialSamples,
-				BatchSize:      opts.BatchSize,
-				Quantile:       opts.Quantile,
-				Seed:           seed,
-			})
+			run := opts
+			run.Seed = seed
+			s, err := geist.NewSampler(tbl, g, run)
 			if err != nil {
 				return nil, err
 			}

@@ -2,10 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"github.com/hpcautotune/hiperbot/internal/dataset"
+	"github.com/hpcautotune/hiperbot/internal/par"
 )
 
 // CurveSpec describes one best-configuration/recall experiment: a
@@ -34,9 +33,6 @@ func (s CurveSpec) withDefaults() CurveSpec {
 	}
 	if s.Good == nil {
 		s.Good = PercentileGoodSet(s.Table, 0.05)
-	}
-	if s.Parallelism == 0 {
-		s.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return s
 }
@@ -78,34 +74,16 @@ func RunCurve(m Method, spec CurveSpec) (*Curve, error) {
 
 	bests := make([][]float64, spec.Repetitions)
 	recalls := make([][]float64, spec.Repetitions)
-	errs := make([]error, spec.Repetitions)
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, spec.Parallelism)
-	for rep := 0; rep < spec.Repetitions; rep++ {
-		wg.Add(1)
-		go func(rep int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			h, err := m.Run(spec.Table, budget, spec.BaseSeed+uint64(rep)*7919)
-			if err != nil {
-				errs[rep] = err
-				return
-			}
-			b, r, err := prefixMetrics(spec.Table, spec.Good, h, spec.Checkpoints)
-			if err != nil {
-				errs[rep] = err
-				return
-			}
-			bests[rep], recalls[rep] = b, r
-		}(rep)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := par.Each(spec.Repetitions, spec.Parallelism, func(rep int) error {
+		h, err := m.Run(spec.Table, budget, spec.BaseSeed+uint64(rep)*7919)
 		if err != nil {
-			return nil, fmt.Errorf("harness: method %s: %w", m.Name, err)
+			return err
 		}
+		bests[rep], recalls[rep], err = prefixMetrics(spec.Table, spec.Good, h, spec.Checkpoints)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("harness: method %s: %w", m.Name, err)
 	}
 	return aggregate(m.Name, spec.Checkpoints, bests, recalls), nil
 }

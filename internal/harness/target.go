@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/hpcautotune/hiperbot/internal/dataset"
+	"github.com/hpcautotune/hiperbot/internal/par"
 )
 
 // This file measures evaluations-to-target: the number of objective
@@ -65,34 +65,22 @@ func EvaluationsToTarget(m Method, spec TargetSpec) (*TargetResult, error) {
 	bound := best * (1 + spec.Tolerance)
 
 	counts := make([]float64, spec.Repetitions)
-	errs := make([]error, spec.Repetitions)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, spec.Parallelism)
-	for rep := 0; rep < spec.Repetitions; rep++ {
-		wg.Add(1)
-		go func(rep int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			h, err := m.Run(spec.Table, spec.MaxBudget, spec.BaseSeed+uint64(rep)*7919)
-			if err != nil {
-				errs[rep] = err
-				return
-			}
-			counts[rep] = float64(spec.MaxBudget + 1) // censored unless found
-			for i, v := range h.BestTrajectory() {
-				if v <= bound {
-					counts[rep] = float64(i + 1)
-					break
-				}
-			}
-		}(rep)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := par.Each(spec.Repetitions, spec.Parallelism, func(rep int) error {
+		h, err := m.Run(spec.Table, spec.MaxBudget, spec.BaseSeed+uint64(rep)*7919)
 		if err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", m.Name, err)
+			return err
 		}
+		counts[rep] = float64(spec.MaxBudget + 1) // censored unless found
+		for i, v := range h.BestTrajectory() {
+			if v <= bound {
+				counts[rep] = float64(i + 1)
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", m.Name, err)
 	}
 	res := &TargetResult{Method: m.Name, Repetitions: spec.Repetitions}
 	res.Mean, res.Std = meanStd(counts)

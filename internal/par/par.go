@@ -1,9 +1,11 @@
 // Package par provides the repo's shared data-parallel loop
 // primitives: static chunking over [0, n) on a bounded number of
-// goroutines. Candidate scoring, graph construction, and label
-// propagation all follow the same shape — embarrassingly parallel
-// sweeps over dense index ranges — so they share one implementation
-// instead of each package growing its own ad-hoc worker pool.
+// goroutines, and one task per index for uneven work. Candidate
+// scoring, graph construction, and label propagation all follow the
+// same shape — embarrassingly parallel sweeps over dense index ranges —
+// and experiment repetitions are independent runs indexed by
+// repetition, so they share one implementation instead of each package
+// growing its own ad-hoc worker pool.
 //
 // The scheduling is deterministic: NumChunks(n, workers) contiguous
 // chunks of near-equal size, chunk c covering [c*ceil(n/workers),
@@ -15,6 +17,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // resolve normalizes a worker count: 0 or negative means GOMAXPROCS,
@@ -87,4 +90,38 @@ func For(n, workers int, body func(i int)) {
 			body(i)
 		}
 	})
+}
+
+// Each runs fn(i) for every i in [0, n), at most workers calls at a
+// time (workers <= 0 means GOMAXPROCS), each worker taking the next
+// index when it finishes one, and returns the first error in index
+// order once every call has returned. It is the loop for few uneven
+// tasks, such as an experiment's repetitions, where Chunks's static
+// split would leave workers idle. Callers write results into
+// index-keyed slots and reduce after it returns, so the reduction
+// order, and with it floating-point rounding, never depends on
+// scheduling.
+func Each(n, workers int, fn func(i int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := resolve(n, workers); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

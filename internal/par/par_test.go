@@ -1,8 +1,10 @@
 package par
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
@@ -79,5 +81,47 @@ func TestChunksPartition(t *testing.T) {
 func TestNumChunksZero(t *testing.T) {
 	if got := NumChunks(0, 8); got != 0 {
 		t.Fatalf("NumChunks(0, 8) = %d", got)
+	}
+}
+
+// TestEach checks the repetition loop: every index runs exactly once,
+// never more than workers calls at a time, and the error reported is
+// the first in index order, not in completion order (index 3 fails
+// after index 11 does).
+func TestEach(t *testing.T) {
+	const n = 17
+	for _, workers := range []int{0, 1, 3, 4, 64} {
+		var ran [n]atomic.Int32
+		var running, peak atomic.Int32
+		err := Each(n, workers, func(i int) error {
+			now := running.Add(1)
+			defer running.Add(-1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			ran[i].Add(1)
+			switch i {
+			case 3:
+				time.Sleep(20 * time.Millisecond)
+				return fmt.Errorf("index %d failed", i)
+			case 11:
+				return fmt.Errorf("index %d failed", i)
+			}
+			time.Sleep(time.Millisecond)
+			return nil
+		})
+		if err == nil || err.Error() != "index 3 failed" {
+			t.Fatalf("workers=%d: error = %v, want the index-order-first failure (index 3)", workers, err)
+		}
+		for i := range ran {
+			if c := ran[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+			}
+		}
+		if p, bound := peak.Load(), int32(resolve(n, workers)); p > bound {
+			t.Fatalf("workers=%d: %d calls ran at once, bound %d", workers, p, bound)
+		}
+	}
+	if err := Each(0, 4, func(int) error { return fmt.Errorf("called") }); err != nil {
+		t.Fatalf("zero indices: %v", err)
 	}
 }
