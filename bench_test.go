@@ -413,9 +413,10 @@ func BenchmarkRankingScore(b *testing.B) {
 	b.ReportMetric(float64(tbl.Len()), "candidates")
 }
 
-// scoredKripkeModel builds a fitted TPE model over the full Kripke
-// exec candidate pool, shared by the ScoreConfig/ScoreBatch pair.
-func scoredKripkeModel(b *testing.B) (core.Model, *space.Batch) {
+// scoredKripkeSurrogate fits the ranking engine's TPE model over the
+// full Kripke exec candidate pool and returns its surrogate, shared by
+// the ScoreConfig/ScoreBatch pair.
+func scoredKripkeSurrogate(b *testing.B) (*core.Surrogate, *space.Batch) {
 	b.Helper()
 	tbl := kripke.Exec().Table()
 	cands := make([]space.Config, tbl.Len())
@@ -435,19 +436,19 @@ func scoredKripkeModel(b *testing.B) (core.Model, *space.Batch) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return tn.Model(), batch
+	return tn.Model().(*core.TPEModel).Surrogate(), batch
 }
 
 // BenchmarkScoreConfig is the seed hot path: one Score call per
 // candidate Config over the full Kripke exec set.
 func BenchmarkScoreConfig(b *testing.B) {
-	m, batch := scoredKripkeModel(b)
+	s, batch := scoredKripkeSurrogate(b)
 	n := batch.Len()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sum float64
 		for j := 0; j < n; j++ {
-			sum += m.Score(batch.Config(j))
+			sum += s.Score(batch.Config(j))
 		}
 		_ = sum
 	}
@@ -458,17 +459,17 @@ func BenchmarkScoreConfig(b *testing.B) {
 // ScoreBatch sweep (serial), and the chunked worker-pool ScoreAll the
 // ranking acquirer actually calls (parallel).
 func BenchmarkScoreBatch(b *testing.B) {
-	m, batch := scoredKripkeModel(b)
+	s, batch := scoredKripkeSurrogate(b)
 	dst := make([]float64, batch.Len())
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m.ScoreBatch(batch, dst)
+			s.ScoreBatch(batch, dst)
 		}
 		b.ReportMetric(float64(batch.Len()), "candidates")
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.ScoreAll(m, batch, 0)
+			core.ScoreAll(s, batch, 0, dst)
 		}
 		b.ReportMetric(float64(batch.Len()), "candidates")
 	})

@@ -10,6 +10,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -139,6 +140,30 @@ func gridObjective(levels int) core.Objective {
 			v += (x - center) * (x - center)
 		}
 		return v + 0.5*c[0]*c[1]
+	}
+}
+
+// TestScoreAllChunkedMatchesSerial checks ScoreAll past
+// serialScoreCutoff, where it splits the batch into row windows scored
+// on worker goroutines, against one serial ScoreBatch sweep, bit for
+// bit, on the 32 768-candidate grid at several worker counts.
+func TestScoreAllChunkedMatchesSerial(t *testing.T) {
+	sp := gridSpace(8)
+	s, err := core.BuildSurrogate(gridTuner(t, 8, 60, 1).History(), core.SurrogateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := space.NewGridBatch(sp, sp.GridSize())
+	want := make([]float64, batch.Len())
+	s.ScoreBatch(batch, want)
+	for _, workers := range []int{1, 2, 3, 7} {
+		got := make([]float64, batch.Len())
+		core.ScoreAll(s, batch, workers, got)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("workers=%d row %d: ScoreAll %v != ScoreBatch %v", workers, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -354,8 +379,8 @@ func TestNewTunerBytesPerCandidate(t *testing.T) {
 // per-candidate work: a warm Ask(1) plus Tell allocates about the same
 // on a 1 024-candidate grid as on a 32 768-candidate one. Scoring runs
 // on one worker, so the count includes no goroutine fan-out; the
-// larger pool only adds ScoreAllInto's chunk view and closure (3
-// objects), which pools past serialScoreCutoff pay once per rescore.
+// larger pool only adds ScoreAll's chunk view and closure (3 objects),
+// which pools past serialScoreCutoff pay once per rescore.
 func TestAskTellSerialAllocsFlat(t *testing.T) {
 	allocs := func(levels int) float64 {
 		at, obj := core.NewAskTell(gridTuner(t, levels, 60, 1)), gridObjective(levels)

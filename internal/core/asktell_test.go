@@ -197,3 +197,114 @@ func TestSelectInitialDistinct(t *testing.T) {
 		seen[key] = true
 	}
 }
+
+// grid100 is an unconstrained 10×10 grid.
+func grid100() *space.Space {
+	levels := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	return space.New(space.DiscreteInts("x", levels...), space.DiscreteInts("y", levels...))
+}
+
+// TestAskTellExhaustedAskAllocs bounds what an Ask costs on a 100-point
+// grid with no configuration left, for each pool-free engine: once the
+// observed and leased configurations cover the grid, the uniform
+// fallback must return at once instead of rejection-sampling the space.
+// Up to then every Ask(1) must still find a free configuration.
+func TestAskTellExhaustedAskAllocs(t *testing.T) {
+	sp := grid100()
+	value := func(c space.Config) float64 { return (c[0]-3)*(c[0]-3) + (c[1]-6)*(c[1]-6) }
+	for _, opts := range []Options{
+		{Seed: 3, InitialSamples: 10, Engine: Proposal},
+		{Seed: 3, InitialSamples: 10, Engine: "sampling"},
+		{Seed: 3, InitialSamples: 10, Engine: "grouped", Groups: [][]string{{"x"}, {"y"}}},
+	} {
+		tn, err := NewTuner(sp, value, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := NewAskTell(tn)
+		now := time.Unix(1_000_000, 0)
+		for tn.Evaluations() < 98 {
+			picks, err := at.Ask(1, 0, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(picks) != 1 {
+				t.Fatalf("%s: Ask(1) returned %d picks with %d configurations free", opts.Engine, len(picks), 100-tn.Evaluations())
+			}
+			if _, err := at.Tell(picks[0], value(picks[0])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last, err := at.Ask(3, 0, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(last) != 2 {
+			t.Fatalf("%s: Ask(3) returned %d picks with 2 configurations free", opts.Engine, len(last))
+		}
+		exhausted := func(state string) {
+			t.Helper()
+			allocs := testing.AllocsPerRun(5, func() {
+				picks, err := at.Ask(1, 0, now)
+				if err != nil || len(picks) != 0 {
+					t.Fatalf("%s, %s: Ask(1) = %d picks, %v; want none", opts.Engine, state, len(picks), err)
+				}
+			})
+			if allocs > exhaustedAskAllocs {
+				t.Fatalf("%s, %s: an exhausted Ask(1) allocates %.0f objects, want at most %d", opts.Engine, state, allocs, exhaustedAskAllocs)
+			}
+		}
+		exhausted("observed and leased")
+		if _, err := at.Tell(last[0], value(last[0])); err != nil {
+			t.Fatal(err)
+		}
+		exhausted("one leased")
+		if _, err := at.Tell(last[1], value(last[1])); err != nil {
+			t.Fatal(err)
+		}
+		exhausted("all observed")
+	}
+}
+
+// exhaustedAskAllocs bounds the allocations of an Ask(1) with nothing
+// left: the pick's own good-density draws and scoring (at most
+// DefaultCandidateSamples draws), far below the 100 000 draws the
+// uniform fallback may make while configurations remain.
+const exhaustedAskAllocs = 2 * DefaultCandidateSamples
+
+// TestAskTellObservedLeaseCountsOnce observes a leased configuration
+// through the tuner, bypassing Tell, so that it is both observed and
+// pending, while one configuration of a 100-point grid is left: the
+// uniform draw's exhaustion count must count the overlap once and still
+// hand out the last configuration.
+func TestAskTellObservedLeaseCountsOnce(t *testing.T) {
+	tn, err := NewTuner(grid100(), func(space.Config) float64 { return 0 }, Options{Seed: 4, InitialSamples: 99, Engine: "sampling"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := NewAskTell(tn)
+	now := time.Unix(1_000_000, 0)
+	for tn.Evaluations() < 97 {
+		picks, err := at.Ask(1, 0, now)
+		if err != nil || len(picks) != 1 {
+			t.Fatalf("Ask(1) = %v, %v", picks, err)
+		}
+		if _, err := at.Tell(picks[0], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leased, err := at.Ask(2, 0, now)
+	if err != nil || len(leased) != 2 {
+		t.Fatalf("Ask(2) = %v, %v", leased, err)
+	}
+	if err := tn.Observe(leased[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	last, err := at.Ask(1, 0, now)
+	if err != nil || len(last) != 1 {
+		t.Fatalf("Ask(1) with one configuration free = %v, %v", last, err)
+	}
+	if picks, err := at.Ask(1, 0, now); err != nil || len(picks) != 0 {
+		t.Fatalf("Ask(1) on the covered grid = %v, %v", picks, err)
+	}
+}

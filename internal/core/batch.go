@@ -48,7 +48,8 @@ func (t *Tuner) SelectBatch(k int) ([]space.Config, error) {
 }
 
 // Observe folds an externally evaluated observation into the history,
-// e.g. one produced from a SelectBatch candidate. Duplicates error.
+// e.g. one produced from a SelectBatch candidate. Duplicates and
+// configurations outside the space (Space.Check) error.
 func (t *Tuner) Observe(c space.Config, value float64) error {
 	return t.ObserveObs(Observation{Config: c, Value: value})
 }
@@ -59,6 +60,9 @@ func (t *Tuner) Observe(c space.Config, value float64) error {
 // Options.VectorObjective is set and the observation has no vector
 // yet, one is derived, so external fold-ins match Step's behavior.
 func (t *Tuner) ObserveObs(obs Observation) error {
+	if err := t.sp.Check(obs.Config); err != nil {
+		return err
+	}
 	if obs.Objectives == nil && t.opts.VectorObjective != nil {
 		obs.Objectives = t.opts.VectorObjective(obs.Config)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/hpcautotune/hiperbot/internal/par"
 	"github.com/hpcautotune/hiperbot/internal/space"
 	"github.com/hpcautotune/hiperbot/internal/stats"
 )
@@ -20,40 +19,35 @@ import (
 // under a name; one Tuner loop drives any of them, and servers select
 // them per session by name.
 
-// Model is a tuning backend's belief state: fitted from the history,
-// able to score candidates (higher = more promising) and to sample
-// promising configurations.
+// Model is a tuning backend's belief state. The Tuner fits it before
+// every acquisition; what an acquirer then reads from the fit is the
+// engine's own business — each acquirer is built around its model (a
+// surrogate getter, a score function, or the model itself), so the
+// seam holds only the fit.
 type Model interface {
-	// Fit rebuilds the model from the full history. It is called
-	// before every acquisition, so incremental models may no-op when
-	// nothing changed.
+	// Fit brings the model up to date with the full history, pending
+	// overlay included. It is called before every acquisition, so
+	// incremental models may no-op when nothing changed.
 	Fit(h *History) error
-	// Score returns the acquisition score of one configuration
-	// (higher is better). Only meaningful after a successful Fit.
-	Score(c space.Config) float64
-	// ScoreBatch scores every row of the columnar batch into dst
-	// (len(dst) == b.Len()), the hot path for ranking acquisition.
-	// Implementations must produce the same values as row-wise Score.
-	ScoreBatch(b *space.Batch, dst []float64)
-	// Sample draws a promising configuration, used by proposal-style
-	// acquisition on unbounded or continuous spaces.
-	Sample(r *stats.RNG) space.Config
-	// Importance reports a per-parameter relevance score, or nil when
-	// the model does not define one.
-	Importance() []float64
+}
+
+// importancer is implemented by models that rank parameters by
+// relevance (Tuner.Importance). Importance fits what it reads and
+// returns one score per parameter; callers must not mutate the slice.
+type importancer interface {
+	Importance(h *History) ([]float64, error)
 }
 
 // Acquisition carries everything an Acquirer may consult when
-// proposing candidates: the fitted model, the history and the pool.
-// Pool is nil for engines that run without a finite candidate set.
-// Every acquirer skips leased configurations (pending-aware ask/tell)
-// as it skips evaluated ones: loops over the pool test Pool.Leased,
-// draws outside a pool test the history's pending overlay. Nothing an
-// acquirer computes from it outlives the call; an acquirer may keep
-// buffers, never results.
+// proposing candidates besides its own model: the history and the
+// pool. Pool is nil for engines that run without a finite candidate
+// set. Every acquirer skips leased configurations (pending-aware
+// ask/tell) as it skips evaluated ones: loops over the pool test
+// Pool.Leased, draws outside a pool test the history's pending
+// overlay. Nothing an acquirer computes from it outlives the call; an
+// acquirer may keep buffers, never results.
 type Acquisition struct {
 	Space            *space.Space
-	Model            Model
 	History          *History
 	Pool             *Pool
 	RNG              *stats.RNG
@@ -74,35 +68,6 @@ type Acquirer interface {
 // belief marginals for rendering (see RenderMarginals).
 type Marginaler interface {
 	Marginals() []MarginalReport
-}
-
-// serialScoreCutoff is the pool size below which ScoreAll skips the
-// worker pool: the columnar TPE sweep costs a few ns per row, so
-// fanning out goroutines for small pools costs more than it saves
-// (measured in BenchmarkScoreBatch). Per-row results are bit-identical
-// either way.
-const serialScoreCutoff = 2048
-
-// ScoreAll scores every row of b with m on up to workers goroutines,
-// chunking the batch into column windows. Chunk boundaries are
-// deterministic, so the result is independent of scheduling.
-func ScoreAll(m Model, b *space.Batch, workers int) []float64 {
-	dst := make([]float64, b.Len())
-	ScoreAllInto(m, b, workers, dst)
-	return dst
-}
-
-// ScoreAllInto is ScoreAll writing into a caller-provided buffer
-// (len(dst) must equal b.Len()), the allocation-free variant the
-// ranking acquirer rescores the pool with.
-func ScoreAllInto(m Model, b *space.Batch, workers int, dst []float64) {
-	if b.Len() <= serialScoreCutoff {
-		m.ScoreBatch(b, dst)
-		return
-	}
-	par.Chunks(b.Len(), workers, func(_, lo, hi int) {
-		m.ScoreBatch(b.Slice(lo, hi), dst[lo:hi])
-	})
 }
 
 // PoolPolicy declares an engine's relationship to a finite candidate

@@ -68,7 +68,7 @@ func init() {
 			if err != nil {
 				return nil, nil, err
 			}
-			return m, groupedAcquirer{}, nil
+			return m, groupedAcquirer{m: m}, nil
 		},
 	})
 }
@@ -146,11 +146,11 @@ func resolveGroups(sp *space.Space, spec [][]string) ([][]int, error) {
 }
 
 // GroupedModel is the flat TPEModel plus a resolved (or
-// to-be-auto-proposed) partition of the dimensions. Scoring, sampling,
-// and introspection delegate to the flat model — the factorized
-// surrogate restricted to a group IS the group's surrogate — while the
-// grouped acquirer reads the partition and fills the per-group top
-// lists.
+// to-be-auto-proposed) partition of the dimensions. Fitting and
+// introspection delegate to the flat model — the factorized surrogate
+// restricted to a group IS the group's surrogate — while the grouped
+// acquirer, which holds the model, reads the partition and the flat
+// fit and fills the per-group top lists.
 type GroupedModel struct {
 	sp   *space.Space
 	flat *TPEModel
@@ -238,37 +238,21 @@ func (m *GroupedModel) Fit(h *History) error {
 	return nil
 }
 
-// fitExact folds the observed history into the flat surrogate without
-// fantasizing, for Importance. Until the auto-proposed partition is
-// resolved it runs the full Fit instead, so the partition comes from
-// the first fit whichever caller makes it.
-func (m *GroupedModel) fitExact(h *History) error {
+// Importance reports the per-parameter JS divergences of the flat
+// exact fit — the same marginals auto-grouping starts from. Until the
+// auto-proposed partition is resolved it runs the full Fit first, so
+// the partition comes from the first fit whichever caller makes it.
+func (m *GroupedModel) Importance(h *History) ([]float64, error) {
 	if m.groups == nil {
-		return m.Fit(h)
+		if err := m.Fit(h); err != nil {
+			return nil, err
+		}
 	}
-	return m.flat.fitExact(h)
+	return m.flat.Importance(h)
 }
-
-// Score is the full-joint score — identical to the sum of the
-// per-group partial scores, since the surrogate factorizes per
-// dimension.
-func (m *GroupedModel) Score(c space.Config) float64 { return m.flat.Score(c) }
-
-// ScoreBatch scores a columnar batch with the full-joint surrogate.
-func (m *GroupedModel) ScoreBatch(b *space.Batch, dst []float64) { m.flat.ScoreBatch(b, dst) }
-
-// Sample draws from the joint good density.
-func (m *GroupedModel) Sample(r *stats.RNG) space.Config { return m.flat.Sample(r) }
-
-// Importance reports the per-parameter JS divergences of the flat fit
-// — the same marginals auto-grouping starts from.
-func (m *GroupedModel) Importance() []float64 { return m.flat.Importance() }
 
 // Marginals exposes the fitted densities for rendering.
 func (m *GroupedModel) Marginals() []MarginalReport { return m.flat.Marginals() }
-
-// Surrogate returns the most recently fitted flat surrogate.
-func (m *GroupedModel) Surrogate() *Surrogate { return m.flat.Surrogate() }
 
 // autoGroups proposes a partition from the fitted surrogate: greedily
 // merge parameter pairs whose joint good/bad divergence exceeds what
@@ -533,20 +517,17 @@ func (g *groupSub) apply(c space.Config, vals []float64) {
 	}
 }
 
-// groupedAcquirer composes per-group argmaxes and polishes across
-// groups with the full-joint score.
-type groupedAcquirer struct{}
+// groupedAcquirer composes per-group argmaxes of its model's flat fit
+// and polishes across groups with the full-joint score.
+type groupedAcquirer struct{ m *GroupedModel }
 
-func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
-	m, ok := a.Model.(*GroupedModel)
-	if !ok {
-		return nil, fmt.Errorf("core: grouped acquisition needs a *GroupedModel, got %T", a.Model)
-	}
+func (q groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
+	m := q.m
 	if m.groups == nil {
 		return nil, fmt.Errorf("core: grouped acquisition before the first fit")
 	}
 	if m.degenerate() {
-		return samplingAcquirer{draws: DefaultCandidateSamples}.Propose(a, k)
+		return samplingAcquirer{draws: DefaultCandidateSamples, surrogate: m.flat.current}.Propose(a, k)
 	}
 	s := m.flat.current()
 	for _, g := range m.subs {
@@ -627,5 +608,5 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	// Cross-group polish: rank the composed candidates with the
 	// full-joint score, so inter-group tradeoffs the per-group argmaxes
 	// cannot see settle the final picks.
-	return pickTop(a, kept, k)
+	return pickTop(a, s, kept, k)
 }

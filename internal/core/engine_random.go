@@ -10,43 +10,27 @@ import (
 )
 
 // The "random" engine is the paper's random-search baseline expressed
-// as a Model/Acquirer pair: an indifferent model (every configuration
-// scores 0) and an acquirer that picks uniformly at random from the
-// unevaluated pool (or the space, when no pool is available). Running
-// it through the shared Tuner loop means baselines get leasing,
-// journaling, and ask/tell for free.
+// as a Model/Acquirer pair: a model with nothing to fit and an
+// acquirer that picks uniformly at random from the unevaluated pool
+// (or the space, when no pool is available). Running it through the
+// shared Tuner loop means baselines get leasing, journaling, and
+// ask/tell for free.
 
 func init() {
 	RegisterEngine(EngineSpec{
 		Name: "random",
 		Pool: PoolPreferred,
 		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
-			return uniformModel{sp: sp}, randomAcquirer{}, nil
+			return noFit{}, randomAcquirer{}, nil
 		},
 	})
 }
 
-// uniformModel believes nothing: all configurations score equally.
-type uniformModel struct{ sp *space.Space }
+// noFit is the random engine's model: it believes nothing, so fitting
+// it does nothing.
+type noFit struct{}
 
-// Fit is a no-op; the uniform model has no state.
-func (uniformModel) Fit(*History) error { return nil }
-
-// Score is constant: no configuration is preferred.
-func (uniformModel) Score(space.Config) float64 { return 0 }
-
-// ScoreBatch fills dst with the constant score.
-func (uniformModel) ScoreBatch(b *space.Batch, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-}
-
-// Sample draws uniformly from the space.
-func (m uniformModel) Sample(r *stats.RNG) space.Config { return m.sp.Sample(r) }
-
-// Importance is undefined for the uniform model.
-func (uniformModel) Importance() []float64 { return nil }
+func (noFit) Fit(*History) error { return nil }
 
 // randomAcquirer picks unevaluated candidates uniformly at random.
 type randomAcquirer struct{}
@@ -60,11 +44,16 @@ func (randomAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 // draw of the package: the initial phase (Tuner.Step, SelectInitial),
 // the random engine and the pool-free acquirers' fallback all call
 // it. With a pool it draws from the remaining set; without one it
-// rejection-samples the space, giving up after 100 000 draws. A short
-// or empty result means the space is (nearly) exhausted.
+// rejection-samples the space, giving up after 100 000 draws, or as
+// soon as the draws hold every configuration of an unconstrained grid
+// left unclaimed. A short or empty result means the space is (nearly)
+// exhausted.
 func drawUniform(a *Acquisition, k int) []space.Config {
 	if a.Pool != nil {
 		return drawRemaining(a.Pool, k, a.RNG)
+	}
+	if free := unclaimed(a.Space, a.History, k); free < k {
+		k = free
 	}
 	const maxTries = 100000
 	id := a.History.identity()
@@ -76,6 +65,31 @@ func drawUniform(a *Acquisition, k int) []space.Config {
 		}
 	}
 	return out.rows
+}
+
+// unclaimed counts the configurations of sp that are neither observed
+// nor pending in h, a configuration both observed and pending counting
+// once, when that count is below want and sp is an unconstrained
+// discrete grid; otherwise, where rejection sampling has no count to
+// stop at or the count cannot fall below want, it returns want. Only a
+// nearly exhausted grid pays the walk over the pending overlay. The
+// count is exact because every observation a Tuner admits passes
+// Space.Check.
+func unclaimed(sp *space.Space, h *History, want int) int {
+	if !sp.AllDiscrete() || sp.Constrained() {
+		return want
+	}
+	grid, ok := sp.GridSize64()
+	if !ok || grid >= uint64(h.Len()+h.PendingLen()+want) {
+		return want
+	}
+	free := int(grid) - h.Len()
+	for _, c := range h.pend.rows {
+		if !h.has(c, h.pend.id.hash(c)) {
+			free--
+		}
+	}
+	return max(free, 0)
 }
 
 // drawRemaining draws up to k distinct candidates uniformly at random

@@ -112,8 +112,8 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 	// ScoreAll must agree for every worker count (chunk boundaries
 	// change, per-row arithmetic must not).
 	for _, workers := range []int{1, 2, 3, 7} {
-		m := &TPEModel{s: s}
-		got := ScoreAll(m, batch, workers)
+		got := make([]float64, batch.Len())
+		ScoreAll(s, batch, workers, got)
 		for i := range got {
 			if got[i] != dst[i] {
 				t.Fatalf("workers=%d row %d: ScoreAll %v != ScoreBatch %v", workers, i, got[i], dst[i])
@@ -263,7 +263,7 @@ func TestPoolLifecycle(t *testing.T) {
 		t.Fatalf("pool batch has %d rows", b.Len())
 	}
 	sub := b.Slice(4, 9)
-	if sub.Offset() != 4 || sub.Len() != 5 {
-		t.Fatalf("slice offset %d len %d", sub.Offset(), sub.Len())
+	if sub.Len() != 5 {
+		t.Fatalf("slice len %d", sub.Len())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
-	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
 // This file packages the paper's TPE surrogate as engine
@@ -15,7 +14,8 @@ import (
 // or unenumerable spaces), registered twice: as Proposal with the
 // paper's 100 draws per pick, and as "sampling" with
 // DefaultCandidateSamples for grids too large to enumerate. All share
-// TPEModel; they differ only in the Acquirer.
+// TPEModel; they differ only in the Acquirer, which reads the model's
+// acquisition surrogate (TPEModel.current).
 
 // The paper's two selection rules (§III-D), as engine names for
 // Options.Engine.
@@ -39,27 +39,32 @@ func init() {
 		Name: Ranking,
 		Pool: PoolRequired,
 		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
-			return &TPEModel{cfg: opts.Surrogate}, RankingAcquirer(), nil
+			m := &TPEModel{cfg: opts.Surrogate}
+			return m, RankingAcquirer(func(a *Acquisition, dst []float64) error {
+				return m.current().ScorePool(a.Pool, a.Parallelism, dst)
+			}), nil
 		},
 	})
 	RegisterEngine(EngineSpec{
 		Name: Proposal,
 		Pool: PoolUnused,
 		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
-			return &TPEModel{cfg: opts.Surrogate}, ProposalAcquirer(), nil
+			m := &TPEModel{cfg: opts.Surrogate}
+			return m, ProposalAcquirer(m.current), nil
 		},
 	})
 	RegisterEngine(EngineSpec{
 		Name: "sampling",
 		Pool: PoolUnused,
 		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
-			return &TPEModel{cfg: opts.Surrogate}, samplingAcquirer{draws: DefaultCandidateSamples}, nil
+			m := &TPEModel{cfg: opts.Surrogate}
+			return m, samplingAcquirer{draws: DefaultCandidateSamples, surrogate: m.current}, nil
 		},
 	})
 }
 
-// TPEModel adapts the factorized pg/pb Surrogate (paper eq. 7-8) to
-// the Model interface. Fit is incremental: a generation-stamped
+// TPEModel fits the factorized pg/pb Surrogate (paper eq. 7-8) for the
+// TPE engines. Fit is incremental: a generation-stamped
 // surrogateBuilder keeps the sufficient statistics (sorted values,
 // category counts, partition membership) across calls, so a fit after
 // k new observations costs O(k·dims + flips) instead of O(n·dims),
@@ -74,7 +79,7 @@ type TPEModel struct {
 	fitHist *History // history the builder is tracking
 	fitGen  uint64   // history generation of the current fit
 
-	// active is the surrogate serving Score/ScoreBatch/Sample: the
+	// active is the surrogate serving acquisition (current): the
 	// exact surrogate s when no work is pending, or a fantasy surrogate
 	// (observed + constant-liar pending, see History.Fantasized) cached
 	// under the composed (generation, pending hash) key. The exact
@@ -126,8 +131,8 @@ func (m *TPEModel) Fit(h *History) error {
 // fitExact is the exact half of Fit: it folds the observed history
 // into the incremental surrogate s and builds no fantasy, which only
 // acquisition reads. Introspection (Importance, Marginals) needs no
-// more, so Tuner.Importance calls this instead of Fit. The surrogate
-// serving Score is left as the last Fit chose it.
+// more, so Importance fits through this instead of Fit. The surrogate
+// serving acquisition is left as the last Fit chose it.
 func (m *TPEModel) fitExact(h *History) error {
 	gen := h.Generation()
 	if m.s != nil && m.fitHist == h && m.fitGen == gen {
@@ -151,40 +156,26 @@ func (m *TPEModel) fitExact(h *History) error {
 	return nil
 }
 
-// current returns the surrogate serving acquisition: the fantasized
-// one when the last Fit saw pending work, else the exact one (also the
-// fallback for models constructed around a ready-made surrogate).
-func (m *TPEModel) current() *Surrogate {
-	if m.active != nil {
-		return m.active
-	}
-	return m.s
-}
+// current returns the surrogate serving acquisition, as the last Fit
+// chose it: the fantasized one when that fit saw pending work, else
+// the exact one.
+func (m *TPEModel) current() *Surrogate { return m.active }
 
-// Score returns log pg(c) - log pb(c) under the active (fantasized
-// when pending work exists) surrogate.
-func (m *TPEModel) Score(c space.Config) float64 { return m.current().Score(c) }
-
-// ScoreBatch scores a columnar batch, bit-identical to row-wise Score.
-func (m *TPEModel) ScoreBatch(b *space.Batch, dst []float64) { m.current().ScoreBatch(b, dst) }
-
-// Sample draws from the good density pg of the active surrogate.
-func (m *TPEModel) Sample(r *stats.RNG) space.Config { return m.current().SampleGood(r) }
-
-// Importance returns the per-parameter JS divergence between pg and
-// pb (nil before the first Fit). The result is cached per fitted
-// surrogate, so repeated calls between fits (e.g. a session Info
-// endpoint polled between evaluations) cost nothing; callers must not
-// mutate the returned slice.
-func (m *TPEModel) Importance() []float64 {
-	if m.s == nil {
-		return nil
+// Importance folds the observed history into the exact fit — never a
+// fantasy around pending work — and returns the per-parameter JS
+// divergence between its pg and pb. The result is cached per fitted
+// surrogate, so repeated calls between evaluations (e.g. a session
+// info publish after every ask) cost nothing; callers must not mutate
+// the returned slice.
+func (m *TPEModel) Importance(h *History) ([]float64, error) {
+	if err := m.fitExact(h); err != nil {
+		return nil, err
 	}
 	if m.imp == nil || m.impFor != m.s {
 		m.imp = m.s.Importance()
 		m.impFor = m.s
 	}
-	return m.imp
+	return m.imp, nil
 }
 
 // Marginals exposes the fitted densities for rendering (nil before
@@ -200,34 +191,40 @@ func (m *TPEModel) Marginals() []MarginalReport {
 // the first Fit), for analyses that need the concrete densities.
 func (m *TPEModel) Surrogate() *Surrogate { return m.s }
 
-// RankingAcquirer returns the pool-scoring acquirer used by the
-// "ranking" engine — argmax over all unevaluated candidates at k = 1,
-// top-k diversified by Hamming distance otherwise — for engines
-// registered outside this package (e.g. the GP-EI engine) whose
-// selection rule is "score every remaining candidate, pick the best".
-// Each call returns a new acquirer owning its scoring buffers, so an
-// engine factory calls it once per tuner; any model with an
-// allocation-free ScoreBatch then gets an allocation-free warm ask.
-func RankingAcquirer() Acquirer { return &rankingAcquirer{} }
+// RankingAcquirer returns the pool-scoring acquirer — argmax over all
+// unevaluated candidates at k = 1, top-k diversified by Hamming
+// distance otherwise — around score, which fills dst[i] with the
+// fitted model's score of pool candidate i (len(dst) is the pool size;
+// higher is better). The ranking and motpe engines score with their
+// surrogate's ScorePool, the GP-EI engine copies its cached expected
+// improvement. Each call returns a new acquirer owning its scoring
+// buffers, so an engine factory calls it once per tuner; a score that
+// allocates nothing gives an allocation-free warm ask.
+func RankingAcquirer(score func(a *Acquisition, dst []float64) error) Acquirer {
+	return &rankingAcquirer{score: score}
+}
 
 // ProposalAcquirer returns the pool-free acquirer of the Proposal
-// engine — draw 100 candidates per pick from the model's Sample (or
-// Options.CandidateSamples), keep the best-scoring unevaluated ones —
-// for engines registered outside this package that need pool-free
-// acquisition (e.g. the motpe engine on continuous or unenumerable
-// spaces).
-func ProposalAcquirer() Acquirer { return samplingAcquirer{draws: proposalDraws} }
+// engine — draw 100 candidates per pick (or Options.CandidateSamples)
+// from the good density of the fitted surrogate, which surrogate
+// returns, and keep the best-scoring unevaluated ones — for engines
+// registered outside this package that need pool-free acquisition
+// (e.g. the motpe engine on continuous or unenumerable spaces).
+func ProposalAcquirer(surrogate func() *Surrogate) Acquirer {
+	return samplingAcquirer{draws: proposalDraws, surrogate: surrogate}
+}
 
 // samplingAcquirer is pool-free TPE acquisition, the paper's Proposal
 // rule: draw CandidateSamples·k configurations from the fitted good
 // density pg (draws·k when CandidateSamples is 0), deduplicate, drop
-// evaluated and leased ones, score the rest in one columnar ScoreBatch
+// evaluated and leased ones, score the rest in one columnar ScoreAll
 // pass — the same hot path ranking uses, so acquisition cost is
 // dominated by the draws — and keep the top k by (score desc, draw
 // order asc). The Proposal and "sampling" engines are this acquirer
 // with different draw counts.
 type samplingAcquirer struct {
-	draws int // pg draws per pick when Acquisition.CandidateSamples is 0
+	draws     int               // pg draws per pick when Acquisition.CandidateSamples is 0
+	surrogate func() *Surrogate // the model's surrogate serving acquisition, read after each fit
 }
 
 func (s samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
@@ -236,25 +233,26 @@ func (s samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error)
 		draws = s.draws
 	}
 	draws *= k
+	sur := s.surrogate()
 	cands := newConfigSet(a.History.identity(), draws)
 	cands.rows = make([]space.Config, 0, draws)
 	for i := 0; i < draws; i++ {
-		c := a.Model.Sample(a.RNG)
+		c := sur.SampleGood(a.RNG)
 		h := cands.id.hash(c)
 		if !a.History.observedOrPending(c, h) {
 			cands.add(c, h)
 		}
 	}
-	return pickTop(a, cands.rows, k)
+	return pickTop(a, sur, cands.rows, k)
 }
 
 // pickTop is the score-and-pick tail the pool-free acquirers share:
-// it scores cands in one ScoreAll pass and keeps the best k by (score
-// desc, index asc). When no candidate is left — every one was
+// it scores cands under s in one ScoreAll pass and keeps the best k by
+// (score desc, index asc). When no candidate is left — every one was
 // evaluated, leased, or invalid, so the good density has collapsed
 // onto known points — it explores with one uniform draw instead, and
 // an empty result means that found nothing either.
-func pickTop(a *Acquisition, cands []space.Config, k int) ([]space.Config, error) {
+func pickTop(a *Acquisition, s *Surrogate, cands []space.Config, k int) ([]space.Config, error) {
 	if len(cands) == 0 {
 		return drawUniform(a, 1), nil
 	}
@@ -262,7 +260,8 @@ func pickTop(a *Acquisition, cands []space.Config, k int) ([]space.Config, error
 	if err != nil {
 		return nil, err
 	}
-	scores := ScoreAll(a.Model, batch, a.Parallelism)
+	scores := make([]float64, len(cands))
+	ScoreAll(s, batch, a.Parallelism, scores)
 	if k == 1 {
 		best := 0
 		for i := 1; i < len(cands); i++ {
@@ -294,10 +293,12 @@ func pickTop(a *Acquisition, cands []space.Config, k int) ([]space.Config, error
 
 // rankingAcquirer scores every remaining pool candidate and picks the
 // argmax (k = 1) or the top-k diversified by Hamming distance. Every
-// call rescores the whole pool; the fields are buffers reused across
-// calls, never read before the call that fills them.
+// call rescores the whole pool; the fields after score are buffers
+// reused across calls, never read before the call that fills them.
 type rankingAcquirer struct {
-	scores []float64      // model scores over the pool's full batch
+	score func(a *Acquisition, dst []float64) error // fills the model's score of every pool candidate
+
+	scores []float64      // model scores, indexed by candidate
 	rank   rankedPool     // the remaining pool by (score desc, idx asc)
 	picks  []space.Config // the Propose result
 }
@@ -311,15 +312,13 @@ func (r *rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error)
 	if len(rem) == 0 {
 		return nil, nil
 	}
-	batch, err := p.Batch()
-	if err != nil {
+	if cap(r.scores) < p.Size() {
+		r.scores = make([]float64, p.Size())
+	}
+	scores := r.scores[:p.Size()]
+	if err := r.score(a, scores); err != nil {
 		return nil, err
 	}
-	if cap(r.scores) < batch.Len() {
-		r.scores = make([]float64, batch.Len())
-	}
-	scores := r.scores[:batch.Len()]
-	ScoreAllInto(a.Model, batch, a.Parallelism, scores)
 
 	if k == 1 {
 		// Argmax over the remaining pool net of leases — exactly the

@@ -288,8 +288,9 @@ func TestAskTellPendingGoldenSequence(t *testing.T) {
 }
 
 // leaseSessions are the sessions the lease bookkeeping is checked on:
-// ranking, random and sampling on a 400-point grid, and ranking on a
-// sampled pool.
+// ranking, random and sampling on a 400-point grid, ranking on a
+// sampled pool, and sampling held in its initial phase for the whole
+// grid, so every Ask is a uniform draw outside a pool.
 var leaseSessions = []struct {
 	name  string
 	sp    func() *space.Space
@@ -301,6 +302,7 @@ var leaseSessions = []struct {
 	{"sampling", leaseTestSpace, leaseTestValue, Options{Seed: 23, InitialSamples: 10, Engine: "sampling"}},
 	{"ranking-sampled-pool", smallSampledSpace, smallSampledValue,
 		Options{Seed: 24, InitialSamples: 10, Engine: "ranking", PoolCap: 48}},
+	{"sampling-uniform", leaseTestSpace, leaseTestValue, Options{Seed: 25, InitialSamples: 400, Engine: "sampling"}},
 }
 
 // leaseScript returns a random lease script of n steps for
@@ -350,7 +352,10 @@ func (r *leaseRef) expire(now time.Time) {
 // overlay's rows, AskTell's lease versions, the pool's leased bits and
 // the live keys of a leaseRef must agree, no pick may be leased or
 // evaluated, and DuplicateSuggestions must equal the reference count.
-func runLeaseScript(t *testing.T, e int, script []byte) {
+// A short pool-free Ask on an unconstrained grid must mean that the
+// observed and leased configurations cover the grid; runLeaseScript
+// returns how many such Asks it checked.
+func runLeaseScript(t *testing.T, e int, script []byte) (short int) {
 	t.Helper()
 	s := leaseSessions[e]
 	sp := s.sp()
@@ -395,6 +400,13 @@ func runLeaseScript(t *testing.T, e int, script []byte) {
 				ref.live[key] = now.Add(ttl)
 			}
 			out = append(out, c)
+		}
+		if len(picks) < k && tn.pool == nil && sp.AllDiscrete() && !sp.Constrained() {
+			if covered := tn.History().Len() + len(ref.live); covered != sp.GridSize() {
+				t.Fatalf("step %d: Ask(%d) returned %d picks with %d of %d configurations observed or leased",
+					step, k, len(picks), covered, sp.GridSize())
+			}
+			short++
 		}
 	}
 	check := func(step int) {
@@ -472,6 +484,7 @@ func runLeaseScript(t *testing.T, e int, script []byte) {
 		}
 		check(step / 2)
 	}
+	return short
 }
 
 // TestAskTellLeaseFilterMatchesKeys runs a random 150-step lease
@@ -486,25 +499,37 @@ func TestAskTellLeaseFilterMatchesKeys(t *testing.T) {
 	}
 }
 
-// FuzzAskTellLeases runs runLeaseScript on arbitrary scripts: the first
-// byte picks the session, the rest is the script, cut at 64 steps. At
-// most 256 picks keep the 400-point grid from running out, where every
-// pool-free pick would rejection-sample the space for 100 000 draws.
-// The seeds are the first 64 steps of TestAskTellLeaseFilterMatchesKeys.
-func FuzzAskTellLeases(f *testing.F) {
-	const steps = 64
+// TestAskTellLeaseScriptPastExhaustion runs a 1 200-step lease script
+// on each of leaseSessions, long enough that the sampling sessions'
+// 400-point grid runs out, so runLeaseScript's exhaustion oracle sees
+// short Asks.
+func TestAskTellLeaseScriptPastExhaustion(t *testing.T) {
 	for e, s := range leaseSessions {
-		f.Add(append([]byte{byte(e)}, leaseScript(s.opts.Seed, steps)...))
+		t.Run(s.name, func(t *testing.T) {
+			short := runLeaseScript(t, e, leaseScript(s.opts.Seed, 1200))
+			if s.opts.Engine == "sampling" && short == 0 {
+				t.Fatal("no short Ask: the script never exhausted the grid")
+			}
+		})
+	}
+}
+
+// FuzzAskTellLeases runs runLeaseScript on arbitrary scripts: the first
+// byte picks the session, the rest is the script, uncut, so a script
+// may run past the grid's exhaustion. The seeds are the first 64 steps
+// of TestAskTellLeaseFilterMatchesKeys and the scripts of
+// TestAskTellLeaseScriptPastExhaustion.
+func FuzzAskTellLeases(f *testing.F) {
+	for _, steps := range []int{64, 1200} {
+		for e, s := range leaseSessions {
+			f.Add(append([]byte{byte(e)}, leaseScript(s.opts.Seed, steps)...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		script := data[1:]
-		if len(script) > 2*steps {
-			script = script[:2*steps]
-		}
-		runLeaseScript(t, int(data[0])%len(leaseSessions), script)
+		runLeaseScript(t, int(data[0])%len(leaseSessions), data[1:])
 	})
 }
 

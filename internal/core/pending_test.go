@@ -235,7 +235,7 @@ func TestFantasizedFitMatchesCold(t *testing.T) {
 						}
 					}
 					for _, c := range append(probes, pending...) {
-						if g, w := model.Score(c), cold.Score(c); !sameBits(g, w) {
+						if g, w := model.current().Score(c), cold.Score(c); !sameBits(g, w) {
 							t.Fatalf("step %d: score(%s) = %v, cold fantasized %v", step, sp.Describe(c), g, w)
 						}
 						if g, w := model.Surrogate().Score(c), exact.Score(c); !sameBits(g, w) {
@@ -244,7 +244,7 @@ func TestFantasizedFitMatchesCold(t *testing.T) {
 					}
 					r1, r2 := stats.NewRNG(uint64(step)), stats.NewRNG(uint64(step))
 					for i := 0; i < 8; i++ {
-						g, w := model.Sample(r1), cold.SampleGood(r2)
+						g, w := model.current().SampleGood(r1), cold.SampleGood(r2)
 						for d := range w {
 							if !sameBits(g[d], w[d]) {
 								t.Fatalf("step %d: sample %d = %s, cold fantasized %s", step, i, sp.Key(g), sp.Key(w))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/hpcautotune/hiperbot/internal/par"
 	"github.com/hpcautotune/hiperbot/internal/space"
 	"github.com/hpcautotune/hiperbot/internal/stats"
 )
@@ -225,6 +226,41 @@ func (s *Surrogate) ScoreBatch(b *space.Batch, dst []float64) {
 			dst[i] += g.logProb(x) - bad.logProb(x)
 		}
 	}
+}
+
+// serialScoreCutoff is the row count up to which ScoreAll skips the
+// worker pool: the columnar sweep costs a few ns per row, so fanning
+// out goroutines for small batches costs more than it saves (measured
+// in BenchmarkScoreBatch). Per-row results are bit-identical either
+// way.
+const serialScoreCutoff = 2048
+
+// ScoreAll scores every row of b under s into dst (len(dst) must equal
+// b.Len()) on up to workers goroutines, chunking the batch into row
+// windows past serialScoreCutoff. Chunk boundaries are deterministic
+// and each row's arithmetic is ScoreBatch's, so the result does not
+// depend on the worker count.
+func ScoreAll(s *Surrogate, b *space.Batch, workers int, dst []float64) {
+	if b.Len() <= serialScoreCutoff {
+		s.ScoreBatch(b, dst)
+		return
+	}
+	par.Chunks(b.Len(), workers, func(_, lo, hi int) {
+		s.ScoreBatch(b.Slice(lo, hi), dst[lo:hi])
+	})
+}
+
+// ScorePool scores every candidate of p into dst (len(dst) must equal
+// p.Size()), indexed by candidate index: ScoreAll over the pool's
+// columnar batch, which the pool builds on first use. It is how the
+// TPE models fill the ranking acquirer's scores.
+func (s *Surrogate) ScorePool(p *Pool, workers int, dst []float64) error {
+	b, err := p.Batch()
+	if err != nil {
+		return err
+	}
+	ScoreAll(s, b, workers, dst)
+	return nil
 }
 
 // EI returns the expected improvement of eq. 5 up to the constant

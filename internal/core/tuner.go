@@ -215,34 +215,24 @@ func (t *Tuner) Model() Model { return t.model }
 // EngineName reports which registered engine drives selection.
 func (t *Tuner) EngineName() string { return t.engine }
 
-// Importance fits the engine's model on the current history and
-// returns its per-parameter importance scores. It returns nil scores
-// (no error) for models that do not define importance, and an error
-// when the history is empty or the fit fails. The fit is generation-
-// cached, so calling this between evaluations costs nothing beyond
-// the first call; the returned slice may be shared with the model's
-// cache and must not be mutated. Importance reads only the exact fit
-// of the observed history, so for the TPE models it builds no
-// fantasized surrogate around pending work.
+// Importance returns the per-parameter importance scores of the
+// engine's model, fitting what they read on the current history. It
+// returns nil scores (no error) for models that define no importance,
+// which it leaves unfitted, and an error when the history is empty or
+// the fit fails. The fit is generation-cached, so calling this between
+// evaluations costs nothing beyond the first call; the returned slice
+// may be shared with the model's cache and must not be mutated. The
+// TPE models read only the exact fit of the observed history, so they
+// build no fantasized surrogate around pending work.
 func (t *Tuner) Importance() ([]float64, error) {
 	if t.history.Len() == 0 {
 		return nil, fmt.Errorf("core: Importance before any evaluation")
 	}
-	fit := t.model.Fit
-	if m, ok := t.model.(exactFitter); ok {
-		fit = m.fitExact
+	m, ok := t.model.(importancer)
+	if !ok {
+		return nil, nil
 	}
-	if err := fit(t.history); err != nil {
-		return nil, err
-	}
-	return t.model.Importance(), nil
-}
-
-// exactFitter is implemented by the models whose Fit adds a
-// fantasized surrogate around pending work to an exact fit; fitExact
-// runs only the exact fit.
-type exactFitter interface {
-	fitExact(h *History) error
+	return m.Importance(t.history)
 }
 
 // Evaluations returns the number of objective evaluations so far.
@@ -262,7 +252,6 @@ func (t *Tuner) Best() Observation { return t.history.Best() }
 func (t *Tuner) acquisition() *Acquisition {
 	t.acq = Acquisition{
 		Space:            t.sp,
-		Model:            t.model,
 		History:          t.history,
 		Pool:             t.pool,
 		RNG:              t.rng,

@@ -343,3 +343,34 @@ func TestParallelScoringMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestObserveRejectsOutOfRangeConfig checks that Observe and
+// ObserveObs check a configuration against the space, as AskTell.Tell
+// and ResumeObs do: an out-of-range level would otherwise enter the
+// history and index past a density's table at the next fit.
+func TestObserveRejectsOutOfRangeConfig(t *testing.T) {
+	sp := space.New(space.DiscreteInts("a", 0, 1, 2), space.DiscreteInts("b", 0, 1, 2, 3))
+	tn, err := NewTuner(sp, func(space.Config) float64 { return 0 }, Options{InitialSamples: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []space.Config{{7, 0}, {-1, 0}, {0.5, 0}, {0, 4}, {0}} {
+		if err := tn.Observe(bad, 1); err == nil {
+			t.Fatalf("Observe(%v) accepted a configuration outside the space", bad)
+		}
+		if err := tn.ObserveObs(Observation{Config: bad, Value: 1}); err == nil {
+			t.Fatalf("ObserveObs(%v) accepted a configuration outside the space", bad)
+		}
+	}
+	if n := tn.Evaluations(); n != 0 {
+		t.Fatalf("%d evaluations after rejected observes, want 0", n)
+	}
+	for i, c := range []space.Config{{0, 0}, {2, 3}} {
+		if err := tn.Observe(c, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tn.SelectBatch(1); err != nil {
+		t.Fatal(err)
+	}
+}

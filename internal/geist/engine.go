@@ -2,7 +2,6 @@ package geist
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/hpcautotune/hiperbot/internal/core"
@@ -13,9 +12,10 @@ import (
 // This file packages GEIST as a registered engine ("geist") for the
 // shared core.Tuner loop: the CAMLP label-propagation beliefs are the
 // Model, and the top-belief-plus-uniform-exploration batch rule is
-// the Acquirer. The Sampler in sampler.go is a thin adapter over this
-// engine; servers can also select it per session by name (the daemon
-// binary imports this package for the registration side effect).
+// the Acquirer, which holds the model and reads its beliefs. The
+// Sampler in sampler.go is a thin adapter over this engine; servers
+// can also select it per session by name (the daemon binary imports
+// this package for the registration side effect).
 
 func init() {
 	core.RegisterEngine(core.EngineSpec{
@@ -83,8 +83,8 @@ func newEngine(sp *space.Space, opts core.Options, pool *core.Pool) (core.Model,
 }
 
 // camlpModel holds the propagated P(optimal) belief per pool
-// candidate. Scores are beliefs; the labeling threshold is frozen at
-// the first fit, matching the paper's description of GEIST.
+// candidate. The labeling threshold is frozen at the first fit,
+// matching the paper's description of GEIST.
 type camlpModel struct {
 	sp        *space.Space
 	pool      *core.Pool
@@ -126,38 +126,6 @@ func (m *camlpModel) Fit(h *core.History) error {
 	m.fitHist, m.fitGen = h, h.Generation()
 	return nil
 }
-
-// Score returns the propagated optimal-belief of c (-Inf for
-// configurations outside the pool or before the first fit).
-func (m *camlpModel) Score(c space.Config) float64 {
-	idx := m.pool.IndexOf(c)
-	if idx < 0 || m.beliefs == nil {
-		return math.Inf(-1)
-	}
-	return m.beliefs[idx]
-}
-
-// ScoreBatch maps batch rows to pool indices via the batch offset
-// (pool batches are candidate-indexed), falling back to key lookups
-// for foreign batches.
-func (m *camlpModel) ScoreBatch(b *space.Batch, dst []float64) {
-	off := b.Offset()
-	if m.beliefs != nil && off+b.Len() <= len(m.beliefs) {
-		copy(dst, m.beliefs[off:off+b.Len()])
-		return
-	}
-	for i := range dst {
-		dst[i] = m.Score(b.Config(i))
-	}
-}
-
-// Sample draws a uniformly random pool candidate.
-func (m *camlpModel) Sample(r *stats.RNG) space.Config {
-	return m.pool.Candidate(r.Intn(m.pool.Size()))
-}
-
-// Importance is undefined for label propagation.
-func (m *camlpModel) Importance() []float64 { return nil }
 
 // geistAcquirer selects each batch as the top-belief unevaluated
 // nodes plus a fraction of uniform exploration picks.

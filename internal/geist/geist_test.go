@@ -261,9 +261,9 @@ func TestSamplerWorksOnWeightedGraph(t *testing.T) {
 }
 
 // TestFitSkipsUnchangedHistory checks that a fit on an unchanged
-// history propagates nothing: two Tuner.Importance calls (each fits the
-// model) with no observation between them keep the same beliefs slice,
-// and a call after the next evaluation propagates anew.
+// history propagates nothing: two Fit calls with no observation between
+// them keep the same beliefs slice, and a fit after the next evaluation
+// propagates anew.
 func TestFitSkipsUnchangedHistory(t *testing.T) {
 	tbl := gridTable(t)
 	tn, err := core.NewTuner(tbl.Space, func(c space.Config) float64 {
@@ -277,23 +277,23 @@ func TestFitSkipsUnchangedHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := tn.Model().(*camlpModel)
-	if _, err := tn.Importance(); err != nil {
+	if err := m.Fit(tn.History()); err != nil {
 		t.Fatal(err)
 	}
 	first := m.beliefs
-	if _, err := tn.Importance(); err != nil {
+	if err := m.Fit(tn.History()); err != nil {
 		t.Fatal(err)
 	}
 	if &m.beliefs[0] != &first[0] {
-		t.Fatal("Importance on an unchanged history propagated the beliefs again")
+		t.Fatal("Fit on an unchanged history propagated the beliefs again")
 	}
 	if _, err := tn.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tn.Importance(); err != nil {
+	if err := m.Fit(tn.History()); err != nil {
 		t.Fatal(err)
 	}
 	if &m.beliefs[0] == &first[0] {
-		t.Fatal("Importance after an evaluation kept the old beliefs")
+		t.Fatal("Fit after an evaluation kept the old beliefs")
 	}
 }

@@ -2,19 +2,17 @@ package gp
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/linalg"
 	"github.com/hpcautotune/hiperbot/internal/space"
-	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
 // This file packages GP-EI as a registered engine ("gp") for the
 // shared core.Tuner loop: the incremental GP posterior is the Model
-// (scores are per-candidate expected improvement, served from the
-// poolEI caches) and the standard ranking rule is the Acquirer.
+// and the standard ranking rule is the Acquirer, scoring each pool
+// candidate by the expected improvement the poolEI caches hold.
 // Fits are incremental under the history-generation discipline — a
 // repeated Fit against an unchanged history no-ops, new observations
 // extend the Cholesky factor and pool caches by one row each — so
@@ -58,19 +56,16 @@ func newEngine(sp *space.Space, opts core.Options, pool *core.Pool) (core.Model,
 	for i := 0; i < pool.Size(); i++ {
 		sp.EncodeOneHot(pool.Candidate(i), feat.Row(i))
 	}
-	m := &eiModel{sp: sp, pool: pool, kernel: kernel, feat: feat}
+	m := &eiModel{sp: sp}
 	m.tr = newTrainer(kernel, 64, kernelRows(kernel, &m.xs))
 	m.pe = newPoolEI(feat, kernel, workers)
-	return m, core.RankingAcquirer(), nil
+	return m, core.RankingAcquirer(m.scores), nil
 }
 
-// eiModel scores pool candidates by expected improvement under an
-// incrementally fitted GP posterior.
+// eiModel keeps the expected improvement of every pool candidate under
+// an incrementally fitted GP posterior.
 type eiModel struct {
-	sp     *space.Space
-	pool   *core.Pool
-	kernel Kernel
-	feat   *linalg.Matrix // pool one-hot features (rows borrowed by pe)
+	sp *space.Space
 
 	tr *trainer
 	pe *poolEI
@@ -166,54 +161,9 @@ func (m *eiModel) Fit(h *core.History) error {
 	return nil
 }
 
-// view materializes the fitted posterior as a GP for off-pool
-// queries; it shares the trainer's factor and the model's buffers.
-func (m *eiModel) view() *GP {
-	return &GP{
-		kernel: m.kernel,
-		jitter: m.tr.jitter,
-		xs:     m.xs,
-		alpha:  m.alpha,
-		chol:   m.tr.chol,
-		yMean:  m.yMean,
-		yStd:   m.yStd,
-		z:      m.z,
-	}
+// scores fills the ranking acquirer's scores: the expected improvement
+// of every pool candidate, cached by the last Fit.
+func (m *eiModel) scores(_ *core.Acquisition, dst []float64) error {
+	copy(dst, m.pe.ei)
+	return nil
 }
-
-// Score returns the expected improvement of c (-Inf before the first
-// fit). Pool candidates are served from the EI cache; foreign
-// configurations are encoded and scored through the posterior.
-func (m *eiModel) Score(c space.Config) float64 {
-	if !m.fitted {
-		return math.Inf(-1)
-	}
-	if idx := m.pool.IndexOf(c); idx >= 0 {
-		return m.pe.ei[idx]
-	}
-	x := make([]float64, m.sp.OneHotLen())
-	m.sp.EncodeOneHot(c, x)
-	return m.view().ExpectedImprovement(x, m.best)
-}
-
-// ScoreBatch maps batch rows to pool indices via the batch offset
-// (pool batches are candidate-indexed) and copies the cached EI,
-// falling back to row-wise scoring for foreign batches.
-func (m *eiModel) ScoreBatch(b *space.Batch, dst []float64) {
-	off := b.Offset()
-	if m.fitted && off+b.Len() <= len(m.pe.ei) {
-		copy(dst, m.pe.ei[off:off+b.Len()])
-		return
-	}
-	for i := range dst {
-		dst[i] = m.Score(b.Config(i))
-	}
-}
-
-// Sample draws a uniformly random pool candidate.
-func (m *eiModel) Sample(r *stats.RNG) space.Config {
-	return m.pool.Candidate(r.Intn(m.pool.Size()))
-}
-
-// Importance is undefined for the GP posterior.
-func (m *eiModel) Importance() []float64 { return nil }

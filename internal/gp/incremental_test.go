@@ -10,6 +10,7 @@ package gp
 import (
 	"math"
 	"testing"
+	"time"
 
 	"github.com/hpcautotune/hiperbot/internal/apps/kripke"
 	"github.com/hpcautotune/hiperbot/internal/core"
@@ -286,33 +287,50 @@ func TestGPSelectBatchNoAllocs(t *testing.T) {
 	}
 }
 
-// TestGPScoreBatchNoAllocs guards the cached batch-EI path itself:
-// a warm Fit is a generation no-op and ScoreBatch serves the pooled
-// EI cache by copy, so neither may allocate.
-func TestGPScoreBatchNoAllocs(t *testing.T) {
+// TestGPScorePoolNoAllocs guards the cached pool-EI path itself: a
+// warm Fit is a generation no-op and the ranking acquirer's pool
+// scores are a copy of the pooled EI cache, so neither may allocate.
+func TestGPScorePoolNoAllocs(t *testing.T) {
 	tn := warmGPTuner(t, 30)
-	tbl := kripke.Exec().Table()
-	cands := make([]space.Config, tbl.Len())
-	for i := 0; i < tbl.Len(); i++ {
-		cands[i] = tbl.Config(i)
-	}
-	batch, err := space.NewBatch(tbl.Space, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := tn.Model()
+	m := tn.Model().(*eiModel)
 	h := tn.History()
 	if err := m.Fit(h); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]float64, batch.Len())
+	dst := make([]float64, kripke.Exec().Table().Len())
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := m.Fit(h); err != nil {
 			t.Fatal(err)
 		}
-		m.ScoreBatch(batch, dst)
+		if err := m.scores(nil, dst); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm Fit+ScoreBatch allocates %.1f objects per call, want 0", allocs)
+		t.Fatalf("warm Fit+pool scores allocate %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestIncrementalFitUntouchedByImportance checks that Tuner.Importance
+// on a gp tuner holding a live lease leaves the GP fit as the ask left
+// it: the GP defines no importance, so nothing is refitted around the
+// lease's fantasy row.
+func TestIncrementalFitUntouchedByImportance(t *testing.T) {
+	tn := warmGPTuner(t, 30)
+	at := core.NewAskTell(tn)
+	if picks, err := at.Ask(1, time.Minute, time.Unix(1_000_000, 0)); err != nil || len(picks) != 1 {
+		t.Fatalf("Ask(1) = %v, %v", picks, err)
+	}
+	m := tn.Model().(*eiModel)
+	rows, pend := len(m.xs), m.pendHash
+	imp, err := tn.Importance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imp != nil {
+		t.Fatalf("gp importance = %v, want nil", imp)
+	}
+	if len(m.xs) != rows || m.pendHash != pend {
+		t.Fatalf("Importance refitted the GP: %d training rows (pending hash %x), the ask left %d (%x)", len(m.xs), m.pendHash, rows, pend)
 	}
 }

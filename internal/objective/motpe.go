@@ -5,7 +5,6 @@ import (
 
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/space"
-	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
 // The "motpe" engine: multi-objective TPE via Pareto-front good/bad
@@ -16,9 +15,10 @@ import (
 // the Pareto front first, then the next front, and so on — until the
 // good set holds ⌈α·n⌉ members, with the overflowing front tie-broken
 // by ε-dominance coverage (hypervolume-free, deterministic; see
-// ParetoSplit). Acquisition is the stock ranking acquirer on pooled
-// spaces and the Proposal engine's pool-free acquirer otherwise (100
-// pg draws per pick unless Options.CandidateSamples is set), so motpe
+// ParetoSplit). Acquisition is the stock ranking acquirer, scoring the
+// pool with the split surrogate, on pooled spaces and the Proposal
+// engine's pool-free acquirer, drawing from it, otherwise (100 pg
+// draws per pick unless Options.CandidateSamples is set), so motpe
 // slots into every Tuner feature (batches, ask/tell, journals).
 //
 // Histories without objective vectors degrade to one-dimensional
@@ -34,18 +34,20 @@ func init() {
 		New: func(sp *space.Space, opts core.Options, pool *core.Pool) (core.Model, core.Acquirer, error) {
 			m := &motpeModel{cfg: opts.Surrogate}
 			if pool != nil {
-				return m, core.RankingAcquirer(), nil
+				return m, core.RankingAcquirer(func(a *core.Acquisition, dst []float64) error {
+					return m.s.ScorePool(a.Pool, a.Parallelism, dst)
+				}), nil
 			}
-			return m, core.ProposalAcquirer(), nil
+			return m, core.ProposalAcquirer(m.Surrogate), nil
 		},
 	})
 }
 
-// motpeModel adapts the Pareto-split surrogate to the core.Model
-// interface. Fit is generation-cached like TPEModel's, but rebuilds
-// cold on change: the nondominated ranking is a global property of the
-// vector set (one new point can demote an entire front), so there is
-// no incremental split to maintain. Ranking is O(n²·m) in the history
+// motpeModel fits the Pareto-split surrogate the motpe acquirers read.
+// Fit is generation-cached like TPEModel's, but rebuilds cold on
+// change: the nondominated ranking is a global property of the vector
+// set (one new point can demote an entire front), so there is no
+// incremental split to maintain. Ranking is O(n²·m) in the history
 // — evaluations are assumed expensive, so n stays small.
 type motpeModel struct {
 	cfg core.SurrogateConfig
@@ -94,27 +96,19 @@ func (m *motpeModel) Fit(h *core.History) error {
 	return nil
 }
 
-// Score returns log pg(c) − log pb(c) under the Pareto split.
-func (m *motpeModel) Score(c space.Config) float64 { return m.s.Score(c) }
-
-// ScoreBatch scores a columnar batch, bit-identical to row-wise Score.
-func (m *motpeModel) ScoreBatch(b *space.Batch, dst []float64) { m.s.ScoreBatch(b, dst) }
-
-// Sample draws from the good (Pareto-set) density pg.
-func (m *motpeModel) Sample(r *stats.RNG) space.Config { return m.s.SampleGood(r) }
-
-// Importance returns the per-parameter JS divergence between the
-// Pareto-set and dominated densities (nil before the first Fit),
-// cached per fitted surrogate.
-func (m *motpeModel) Importance() []float64 {
-	if m.s == nil {
-		return nil
+// Importance fits the model — over the fantasized view when work is
+// pending, as acquisition sees it — and returns the per-parameter JS
+// divergence between the Pareto-set and dominated densities, cached
+// per fitted surrogate.
+func (m *motpeModel) Importance(h *core.History) ([]float64, error) {
+	if err := m.Fit(h); err != nil {
+		return nil, err
 	}
 	if m.imp == nil || m.impFor != m.s {
 		m.imp = m.s.Importance()
 		m.impFor = m.s
 	}
-	return m.imp
+	return m.imp, nil
 }
 
 // Surrogate exposes the fitted surrogate (nil before the first Fit).

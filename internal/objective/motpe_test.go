@@ -285,3 +285,60 @@ func TestMOTPEPoolFreeBatchGoldenSequence(t *testing.T) {
 		t.Fatalf("motpe pool-free k=4 selection sequence drifted\ngot:  %#v\nwant: %#v", keys, want)
 	}
 }
+
+// TestMOTPEPooledGoldenSequence pins motpe on a finite pool, where it
+// acquires through the ranking acquirer: the selection sequences of
+// Run (k = 1, argmax) and RunBatched (k = 4, Hamming-diversified top-k)
+// on the toy space.
+func TestMOTPEPooledGoldenSequence(t *testing.T) {
+	for _, tc := range []struct {
+		k    int
+		want []string
+	}{
+		{k: 1, want: []string{
+			"5|6|0", "0|4|0", "2|6|0", "3|4|0", "5|0|0", "6|0|0", "5|6|1", "5|2|0",
+			"5|3|0", "5|7|0", "0|3|0", "5|7|1", "5|5|0", "2|3|0", "4|4|0", "6|7|0",
+			"5|5|1", "0|6|0", "5|3|1", "2|1|0", "6|6|0", "4|1|0", "5|4|1", "5|5|2",
+		}},
+		{k: 4, want: []string{
+			"5|6|0", "5|4|1", "0|4|0", "5|1|2", "2|6|0", "5|0|0", "5|6|2", "6|4|0",
+			"5|2|0", "0|6|0", "2|0|0", "4|1|0", "2|4|0", "5|3|0", "6|0|0", "2|0|1",
+			"4|0|0", "2|1|0", "5|7|0", "5|1|1", "4|3|0", "5|5|0", "5|3|1", "0|1|0",
+		}},
+	} {
+		tn := newToyTuner(t, "motpe", 3)
+		var err error
+		if tc.k == 1 {
+			_, err = tn.Run(36)
+		} else {
+			_, err = tn.RunBatched(36, tc.k)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for _, o := range tn.History().Observations()[tn.InitialSamples():] {
+			keys = append(keys, tn.History().Space().Key(o.Config))
+		}
+		if !reflect.DeepEqual(keys, tc.want) {
+			t.Fatalf("motpe pooled k=%d selection sequence drifted\ngot:  %#v\nwant: %#v", tc.k, keys, tc.want)
+		}
+	}
+}
+
+// TestMOTPEImportance checks that Tuner.Importance reaches the motpe
+// model's optional Importance method: the per-parameter divergences of
+// the Pareto-split surrogate, not the nil answer of a model without one.
+func TestMOTPEImportance(t *testing.T) {
+	tn := newToyTuner(t, "motpe", 3)
+	if _, err := tn.Run(30); err != nil {
+		t.Fatal(err)
+	}
+	got, err := tn.Importance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tn.Model().(*motpeModel).s.Importance(); len(got) != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("motpe importance = %v, want the split surrogate's %v", got, want)
+	}
+}

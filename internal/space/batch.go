@@ -15,10 +15,9 @@ import "fmt"
 // that share the backing columns, so chunked parallel scoring over
 // [lo, hi) windows allocates nothing.
 type Batch struct {
-	sp     *Space
-	cols   [][]float64 // cols[d][i] = configuration i's value for parameter d
-	n      int
-	offset int // index of row 0 within the batch this was sliced from
+	sp   *Space
+	cols [][]float64 // cols[d][i] = configuration i's value for parameter d
+	n    int
 }
 
 // NewBatch transposes configs into columns. Every config must have
@@ -81,12 +80,6 @@ func (b *Batch) Space() *Space { return b.sp }
 // configuration. Callers must not mutate it.
 func (b *Batch) Col(d int) []float64 { return b.cols[d] }
 
-// Offset reports the index of this view's first row within the
-// original (unsliced) batch. Models whose state is indexed by
-// candidate position — e.g. graph-propagation beliefs over a fixed
-// pool — use it to map view rows back to pool indices.
-func (b *Batch) Offset() int { return b.offset }
-
 // Slice returns the sub-view covering rows [lo, hi). The view shares
 // the backing columns; no data is copied.
 func (b *Batch) Slice(lo, hi int) *Batch {
@@ -97,7 +90,7 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 	for d := range cols {
 		cols[d] = b.cols[d][lo:hi]
 	}
-	return &Batch{sp: b.sp, cols: cols, n: hi - lo, offset: b.offset + lo}
+	return &Batch{sp: b.sp, cols: cols, n: hi - lo}
 }
 
 // Config materializes row i as a Config (a fresh allocation; the
